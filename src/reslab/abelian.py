@@ -82,20 +82,10 @@ def cover_zeta_zeros(data: SchottkyData, quotient: AbelianQuotient,
 def _theta_det_factory(data: SchottkyData, s: complex, lmax: int) -> Callable:
     """theta -> det(I - L_{s,theta}) reusing the scalar blocks at fixed s."""
     blocks = transfer.assemble_blocks(data, s, lmax)
-    nb = lmax + 1
-    m = data.m
-    n = 2 * m * nb
-    base = np.zeros((n, n), dtype=complex)
-    keys = list(blocks.items())
 
     def det(theta) -> complex:
-        phases = [cmath.exp(2j * math.pi * t) for t in theta]
-        phases = phases + [p.conjugate() for p in phases]
-        mat = base.copy()
-        for (i, j), b in keys:
-            a0 = (j + m) % (2 * m)
-            mat[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = b * phases[a0]
-        return complex(np.linalg.det(np.eye(n) - mat))
+        return transfer.fredholm_det(transfer.blocks_to_matrix(
+            data, blocks, lmax, TwistSpec.abelian(theta)))
 
     return det
 

@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._accel import cheeger_exhaustive
 from .abelian import AbelianQuotient
 from .schottky import SchottkyData
 
@@ -135,6 +134,33 @@ def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
 def dense_laplacian(graph: CayleyGraph) -> np.ndarray:
     A = adjacency_matrix(graph)
     return np.eye(A.shape[0]) - A / graph.degree
+
+
+def cheeger_exhaustive(adj: np.ndarray) -> float:
+    """Exact min over nonempty subsets A, |A| <= n/2, of |boundary(A)|/|A|.
+
+    adj is the symmetric edge-multiplicity matrix (no diagonal loops counted).
+    """
+    adj = np.ascontiguousarray(adj, dtype=np.float64)
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    best = np.inf
+    chunk = 1 << 16
+    total = 1 << n
+    bits = np.arange(n)
+    for start in range(1, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        ind = ((masks[:, None] >> bits[None, :]) & 1).astype(np.float64)
+        sizes = ind.sum(axis=1)
+        ok = (sizes >= 1) & (2 * sizes <= n)
+        if not ok.any():
+            continue
+        ind = ind[ok]
+        sizes = sizes[ok]
+        inner = np.einsum("ci,ij,cj->c", ind, adj, ind)
+        cut = ind @ deg - inner
+        best = min(best, float(np.min(cut / sizes)))
+    return best
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,37 @@ def _parse_ints(text: str, label: str = "value"):
         raise ValidationFailure(f"cannot parse {label}: {text!r}")
 
 
+def _parse_rect(args):
+    """re_min,re_max,im_min,im_max with both sides of positive length."""
+    rect = _parse_floats(args.rect, 4, "rect")
+    if not (rect[0] < rect[1] and rect[2] < rect[3]):
+        raise ValidationFailure(
+            f"rect needs re_min < re_max and im_min < im_max: {args.rect!r}")
+    return rect
+
+
+def _lmax(args, default: int) -> int:
+    """Bergman truncation order from --lmax; the transfer matrix needs >= 2."""
+    lmax = default if args.lmax is None else args.lmax
+    try:
+        lmax = int(lmax)
+    except (TypeError, ValueError):
+        raise ValidationFailure(f"cannot parse lmax: {args.lmax!r}")
+    if lmax < 2:
+        raise ValidationFailure(f"lmax must be >= 2, got {lmax}")
+    return lmax
+
+
 def _load_group(args) -> sk.SchottkyData:
     if getattr(args, "group", None):
         with open(args.group) as fh:
-            return sk.load_group_json(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return sk.load_group_json(obj)
+        except KeyError as exc:
+            raise ValidationFailure(f"group: missing key {exc}")
+        except (ValueError, TypeError) as exc:
+            raise ValidationFailure(f"group: {exc}")
     name = getattr(args, "preset", None) or "symmetric3"
     kwargs = {}
     if getattr(args, "trace", None) is not None:
@@ -120,7 +147,7 @@ def _run_validate(args) -> int:
 
 def _run_delta(args) -> int:
     data = _load_group(args)
-    lmax = int(args.lmax or 16)
+    lmax = _lmax(args, 16)
     tol = float(args.tol or 1e-12)
     try:
         delta = thermo.critical_exponent(data, lmax=lmax, tol=tol)
@@ -138,11 +165,12 @@ def _run_delta(args) -> int:
 def _run_zeta_scan(args) -> int:
     data = _load_group(args)
     twist = _twist(args, data)
-    lmax = int(args.lmax or 16)
-    rect = _parse_floats(args.rect, 4, "rect")
-    nre, nim = (int(x) for x in (args.grid or "40,40").split(","))
-    if nre < 2 or nim < 2:
-        raise ValidationFailure("zeta-scan: grid must be at least 2x2")
+    lmax = _lmax(args, 16)
+    rect = _parse_rect(args)
+    grid = _parse_ints(args.grid or "40,40", "grid")
+    if len(grid) != 2 or min(grid) < 2:
+        raise ValidationFailure("zeta-scan: grid must be n_re,n_im, at least 2x2")
+    nre, nim = grid
     det = zeros.make_det(data, twist, lmax)
     res = np.linspace(rect[0], rect[1], nre)
     ims = np.linspace(rect[2], rect[3], nim)
@@ -165,8 +193,8 @@ def _run_zeta_scan(args) -> int:
 def _run_resonances(args) -> int:
     data = _load_group(args)
     twist = _twist(args, data)
-    lmax = int(args.lmax or 16)
-    rect = _parse_floats(args.rect, 4, "rect")
+    lmax = _lmax(args, 16)
+    rect = _parse_rect(args)
     try:
         rs = zeros.resonances(data, twist, rect, lmax=lmax)
     except zeros.ContourError as exc:
@@ -198,8 +226,8 @@ def _run_resonances(args) -> int:
 def _run_cover_abelian(args) -> int:
     data = _load_group(args)
     moduli = _parse_ints(args.moduli or "2,1", "moduli")
-    lmax = int(args.lmax or 16)
-    rect = _parse_floats(args.rect, 4, "rect")
+    lmax = _lmax(args, 16)
+    rect = _parse_rect(args)
     try:
         quotient = abelian.AbelianQuotient(moduli)
         per_char = abelian.cover_zeta_zeros(data, quotient, rect, lmax=lmax)
@@ -224,7 +252,7 @@ def _run_cover_abelian(args) -> int:
 def _run_equidist(args) -> int:
     data = _load_group(args)
     Ns = _parse_ints(args.covers or "8,16,32", "covers")
-    lmax = int(args.lmax or 12)
+    lmax = _lmax(args, 12)
     fine = int(args.fine or 256)
     axis = int(args.axis or 0)
     seq = []

@@ -12,7 +12,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import schottky as sk
-from ._accel import conjugacy_partition_mod_p
 from .schottky import GeodesicClass, SchottkyData
 
 __all__ = [
@@ -212,6 +211,44 @@ def all_elements(p: int) -> np.ndarray:
             d = ((1 + b * c) * pow(a, p - 2, p)) % p
             rows.append((a, b, c, d))
     return np.array(rows, dtype=np.int64)
+
+
+def conjugacy_partition_mod_p(elems: np.ndarray, p: int) -> np.ndarray:
+    """Partition the listed SL2(F_p) elements into conjugacy orbits by brute
+    force; the oracle for class_statistics.
+
+    elems: (n, 4) int64 rows (a, b, c, d) with entries in [0, p).  Returns an
+    int64 label per element; equal label means conjugate in SL2(F_p).
+    """
+    elems = np.ascontiguousarray(elems, dtype=np.int64)
+    n = elems.shape[0]
+    key = ((elems[:, 0] * p + elems[:, 1]) * p + elems[:, 2]) * p + elems[:, 3]
+    order = np.argsort(key, kind="stable")
+    lookup = dict(zip(key[order].tolist(), order.tolist()))
+    a, b, c, d = (elems[:, i] for i in range(4))
+    # inverses: [[d, -b], [-c, a]] mod p
+    ia, ib, ic, id_ = d, (-b) % p, (-c) % p, a
+    labels = np.full(n, -1, dtype=np.int64)
+    nxt = 0
+    for x in range(n):
+        if labels[x] >= 0:
+            continue
+        xa, xb, xc, xd = (int(elems[x, i]) for i in range(4))
+        # orbit of x under conjugation by every g: g x g^-1
+        ga, gb, gc, gd = a, b, c, d
+        ya = (ga * xa + gb * xc) % p
+        yb = (ga * xb + gb * xd) % p
+        yc = (gc * xa + gd * xc) % p
+        yd = (gc * xb + gd * xd) % p
+        za = (ya * ia + yb * ic) % p
+        zb = (ya * ib + yb * id_) % p
+        zc = (yc * ia + yd * ic) % p
+        zd = (yc * ib + yd * id_) % p
+        zkey = ((za * p + zb) * p + zc) * p + zd
+        for kk in np.unique(zkey):
+            labels[lookup[int(kk)]] = nxt
+        nxt += 1
+    return labels
 
 
 def class_size(label: ConjClassLabel, p: int) -> int:

@@ -17,8 +17,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import _accel
-
 __all__ = [
     "MoebiusMap",
     "Disc",
@@ -163,13 +161,6 @@ class SchottkyData:
     def gens_array(self) -> np.ndarray:
         """(2m, 2, 2) float array indexed by letter-1."""
         return np.array([self.gen(k).as_array() for k in self.letters])
-
-    def gens_array_int(self) -> np.ndarray:
-        arr = self.gens_array()
-        out = np.rint(arr).astype(np.int64)
-        if np.max(np.abs(arr - out)) > 1e-9:
-            raise ValueError("group does not have integer matrix entries")
-        return out
 
     def target_disc(self, k: int) -> int:
         """1-based disc index that letter k maps everything (else) into."""
@@ -342,6 +333,22 @@ def cyclic_words_array(m: int, n: int) -> np.ndarray:
     return w[w[:, 0] != inv_last]
 
 
+def word_products(gens: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Compose generator matrices along each word (vectorized over words).
+
+    gens: (2m, 2, 2) float64, words: (nw, n) int64 with 0-based letters.
+    Returns (nw, 2, 2) float64 products gens[w0] @ gens[w1] @ ... @ gens[wn-1].
+    """
+    gens = np.ascontiguousarray(gens, dtype=np.float64)
+    words = np.ascontiguousarray(words, dtype=np.int64)
+    if words.size == 0:
+        return np.empty((0, 2, 2))
+    out = gens[words[:, 0]].copy()
+    for t in range(1, words.shape[1]):
+        out = np.einsum("kij,kjl->kil", out, gens[words[:, t]])
+    return out
+
+
 def word_map(data: SchottkyData, w: Sequence[int]) -> MoebiusMap:
     """Compose generators along w (1-based letters); empty word -> identity."""
     if isinstance(w, Word):
@@ -436,7 +443,7 @@ def _classes_at_depth(data: SchottkyData, n: int) -> tuple[GeodesicClass, ...]:
     w = w[keep]
     if w.shape[0] == 0:
         return ()
-    mats = _accel.word_products(data.gens_array(), w)
+    mats = word_products(data.gens_array(), w)
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     hyper = np.abs(tr) > 2.0 + 1e-12
     w, tr = w[hyper], tr[hyper]

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import schottky as sk
-from ._accel import word_products
+from .schottky import word_products
 
 __all__ = [
     "TwistSpec",
@@ -177,17 +177,20 @@ def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
 
 def blocks_to_matrix(data: sk.SchottkyData, blocks: dict, lmax: int,
                      twist: TwistSpec) -> np.ndarray:
+    """Place every block b, twisted by the unitary u of its connecting
+    letter, as the Kronecker product b (x) u: row r*d+p, column c*d+q of the
+    (i, j) block holds b[r, c] * u[p, q]."""
     m = data.m
     d = twist.dim
     nb = lmax + 1
     mats = twist.letter_matrices(m)
+    rows, cols = zip(*blocks)
+    b = np.array(list(blocks.values()))
+    u = np.array([mats[(j + m) % (2 * m)] for j in cols])
+    out = np.zeros((2 * m, nb, d, 2 * m, nb, d), dtype=complex)
+    out[rows, :, :, cols] = b[:, :, None, :, None] * u[:, None, :, None, :]
     n = 2 * m * nb * d
-    out = np.zeros((n, n), dtype=complex)
-    for (i, j), b in blocks.items():
-        a0 = (j + m) % (2 * m)
-        u = mats[a0]
-        out[i * nb * d:(i + 1) * nb * d, j * nb * d:(j + 1) * nb * d] = np.kron(b, u)
-    return out
+    return out.reshape(n, n)
 
 
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,

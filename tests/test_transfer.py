@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy import kron
 
 from reslab import schottky as sk
 from reslab import thermo, transfer
@@ -58,6 +59,23 @@ def test_unit_scalar_twist_preserves_block_singular_values(sym3):
         sv0 = np.linalg.svd(b, compute_uv=False)
         sv1 = np.linalg.svd(twisted, compute_uv=False)
         assert np.allclose(sv0, sv1, atol=1e-12)
+
+
+def test_block_placement_is_kronecker_layout(sym3):
+    """Each (i, j) block of the twisted matrix is kron(b, u) for the unitary u
+    of the connecting letter, bit for bit."""
+    lmax = 6
+    twist = TwistSpec.regular((2, 3))
+    blocks = transfer.assemble_blocks(sym3, complex(0.4, 0.9), lmax)
+    mats = twist.letter_matrices(sym3.m)
+    side = (lmax + 1) * twist.dim
+    n = 2 * sym3.m * side
+    expected = np.zeros((n, n), dtype=complex)
+    for (i, j), b in blocks.items():
+        u = mats[(j + sym3.m) % (2 * sym3.m)]
+        expected[i * side:(i + 1) * side, j * side:(j + 1) * side] = kron(b, u)
+    got = transfer.blocks_to_matrix(sym3, blocks, lmax, twist)
+    assert np.array_equal(got, expected)
 
 
 def test_cylinder_closed_form(cyl):
