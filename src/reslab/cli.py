@@ -97,13 +97,7 @@ def _lmax(args, default: int) -> int:
 def _load_group(args) -> sk.SchottkyData:
     if getattr(args, "group", None):
         with open(args.group) as fh:
-            obj = json.load(fh)
-        try:
-            return sk.load_group_json(obj)
-        except KeyError as exc:
-            raise ValidationFailure(f"group: missing key {exc}")
-        except (ValueError, TypeError) as exc:
-            raise ValidationFailure(f"group: {exc}")
+            return sk.load_group_json(json.load(fh))
     name = getattr(args, "preset", None) or "symmetric3"
     kwargs = {}
     if getattr(args, "trace", None) is not None:

@@ -183,14 +183,15 @@ def blocks_to_matrix(data: sk.SchottkyData, blocks: dict, lmax: int,
     m = data.m
     d = twist.dim
     nb = lmax + 1
+    side = nb * d
     mats = twist.letter_matrices(m)
-    rows, cols = zip(*blocks)
-    b = np.array(list(blocks.values()))
-    u = np.array([mats[(j + m) % (2 * m)] for j in cols])
-    out = np.zeros((2 * m, nb, d, 2 * m, nb, d), dtype=complex)
-    out[rows, :, :, cols] = b[:, :, None, :, None] * u[:, None, :, None, :]
-    n = 2 * m * nb * d
-    return out.reshape(n, n)
+    n = 2 * m * side
+    out = np.zeros((n, n), dtype=complex)
+    for (i, j), b in blocks.items():
+        u = mats[(j + m) % (2 * m)]
+        out[i * side:(i + 1) * side, j * side:(j + 1) * side] = (
+            b[:, None, :, None] * u[None, :, None, :]).reshape(side, side)
+    return out
 
 
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy import kron
 
 from reslab import schottky as sk
 from reslab import thermo, transfer
@@ -73,7 +72,7 @@ def test_block_placement_is_kronecker_layout(sym3):
     expected = np.zeros((n, n), dtype=complex)
     for (i, j), b in blocks.items():
         u = mats[(j + sym3.m) % (2 * sym3.m)]
-        expected[i * side:(i + 1) * side, j * side:(j + 1) * side] = kron(b, u)
+        expected[i * side:(i + 1) * side, j * side:(j + 1) * side] = np.kron(b, u)
     got = transfer.blocks_to_matrix(sym3, blocks, lmax, twist)
     assert np.array_equal(got, expected)
 
