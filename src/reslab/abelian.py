@@ -80,12 +80,22 @@ def cover_zeta_zeros(data: SchottkyData, quotient: AbelianQuotient,
 
 
 def _theta_det_factory(data: SchottkyData, s: complex, lmax: int) -> Callable:
-    """theta -> det(I - L_{s,theta}) reusing the scalar blocks at fixed s."""
-    blocks = transfer.assemble_blocks(data, s, lmax)
+    """theta -> det(I - L_{s,theta}) reusing the untwisted matrix at fixed s.
+
+    The character twist multiplies the column slab of source disc j by the
+    phase of its connecting letter inv(j): conj(e(theta_j)) for j < m and
+    e(theta_{j-m}) for j >= m, with e(t) = exp(2 pi i t)."""
+    m = data.m
+    side = lmax + 1
+    base = transfer.blocks_to_matrix(
+        data, transfer.assemble_blocks(data, s, lmax), lmax, TwistSpec.trivial())
 
     def det(theta) -> complex:
-        return transfer.fredholm_det(transfer.blocks_to_matrix(
-            data, blocks, lmax, TwistSpec.abelian(theta)))
+        if len(theta) != m:
+            raise ValueError(f"theta must have dimension m={m}")
+        e = [np.exp(2j * np.pi * float(t)) for t in theta]
+        phases = np.repeat([np.conj(x) for x in e] + e, side)
+        return transfer.fredholm_det(base * phases)
 
     return det
 

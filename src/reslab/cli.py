@@ -82,13 +82,21 @@ def _parse_rect(args):
     return rect
 
 
+def _number(args, name: str, default, kind):
+    """Flag value converted by kind, or the default when the flag is unset;
+    an explicit 0 is a value like any other."""
+    value = getattr(args, name, None)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationFailure(f"cannot parse {name}: {value!r}")
+
+
 def _lmax(args, default: int) -> int:
     """Bergman truncation order from --lmax; the transfer matrix needs >= 2."""
-    lmax = default if args.lmax is None else args.lmax
-    try:
-        lmax = int(lmax)
-    except (TypeError, ValueError):
-        raise ValidationFailure(f"cannot parse lmax: {args.lmax!r}")
+    lmax = _number(args, "lmax", default, int)
     if lmax < 2:
         raise ValidationFailure(f"lmax must be >= 2, got {lmax}")
     return lmax
@@ -142,7 +150,9 @@ def _run_validate(args) -> int:
 def _run_delta(args) -> int:
     data = _load_group(args)
     lmax = _lmax(args, 16)
-    tol = float(args.tol or 1e-12)
+    tol = _number(args, "tol", 1e-12, float)
+    if not tol > 0:
+        raise ValidationFailure(f"tol must be positive, got {tol}")
     try:
         delta = thermo.critical_exponent(data, lmax=lmax, tol=tol)
     except (RuntimeError, ValueError) as exc:
@@ -247,8 +257,12 @@ def _run_equidist(args) -> int:
     data = _load_group(args)
     Ns = _parse_ints(args.covers or "8,16,32", "covers")
     lmax = _lmax(args, 12)
-    fine = int(args.fine or 256)
-    axis = int(args.axis or 0)
+    fine = _number(args, "fine", 256, int)
+    axis = _number(args, "axis", 0, int)
+    if fine < 1:
+        raise ValidationFailure(f"fine must be >= 1, got {fine}")
+    if not 0 <= axis < data.m:
+        raise ValidationFailure(f"axis must lie in 0..{data.m - 1}, got {axis}")
     seq = []
     for N in Ns:
         moduli = [1] * data.m
@@ -263,7 +277,7 @@ def _run_equidist(args) -> int:
                      ("N", "bin_lo", "bin_hi", "count"), rows)
     report.write_json(_out_path(args, "equidist.json"), {
         "experiment": "equidist", "group": data.name, "lmax": lmax,
-        "fine": fine, "covers": list(Ns),
+        "fine": fine, "axis": axis, "covers": list(Ns),
         "window": list(res.window),
         "kolmogorov": list(res.kolmogorov),
         "counts": list(res.counts),
@@ -276,16 +290,15 @@ def _run_equidist(args) -> int:
 
 def _run_congruence(args) -> int:
     data = _load_group(args)
-    p = int(args.prime or 101)
-    beta = float(args.beta or 1.5)
-    T = beta * math.log(p)
+    p = _number(args, "prime", 101, int)
+    beta = _number(args, "beta", 1.5, float)
     try:
         stats = congruence.class_statistics(p)
         violations = congruence.conj1_check(data, p, beta)
         avg = congruence.character_average(data, p, beta=beta)
     except ValueError as exc:
         raise ValidationFailure(f"congruence: {exc}")
-    mt = congruence.trace_multiplicities(data, T)
+    mt = congruence.trace_multiplicities(data, beta * math.log(p))
     report.write_csv(_out_path(args, "trace_multiplicities.csv"),
                      ("trace", "multiplicity"),
                      sorted(mt.items()))
@@ -306,17 +319,20 @@ def _run_congruence(args) -> int:
 
 def _run_explicit_formula(args) -> int:
     data = _load_group(args)
-    J = int(args.order or 12)
-    eps = float(args.eps or 0.5)
-    alpha = float(args.alpha or 0.5)
-    T = float(args.T or 8.0)
+    J = _number(args, "order", 12, int)
+    eps = _number(args, "eps", 0.5, float)
+    alpha = _number(args, "alpha", 0.5, float)
+    T = _number(args, "T", 8.0, float)
     try:
         tf = explicit_formula.build_test_function(eps, J)
     except ValueError as exc:
         raise ValidationFailure(f"explicit_formula: {exc}")
     envelope = explicit_formula.fourier_envelope_check(tf, alpha=alpha)
     Ts = [0.5 * T, 0.75 * T, T]
-    sums = [explicit_formula.geodesic_sum(data, t, tf).real for t in Ts]
+    try:
+        sums = [explicit_formula.geodesic_sum(data, t, tf).real for t in Ts]
+    except ValueError as exc:
+        raise ValidationFailure(f"explicit_formula: {exc}")
     report.write_csv(_out_path(args, "test_function.csv"), ("x", "phi0"),
                      zip(tf.x.tolist(), tf.values.tolist()))
     report.write_json(_out_path(args, "explicit_formula.json"), {

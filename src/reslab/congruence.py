@@ -271,6 +271,8 @@ def class_statistics(p: int, validate: Optional[bool] = None) -> dict:
     """Table label -> (class size, centralizer size); for p <= the brute
     force cap the sizes and the label partition are checked against a full
     orbit enumeration."""
+    if p <= 3 or not _is_prime(p):
+        raise ValueError("p must be an odd prime > 3")
     if validate is None:
         validate = p <= BRUTE_FORCE_CAP
     elems = all_elements(p)

@@ -6,12 +6,16 @@ in disc i it sums (gamma_a'(z))^s rho(gamma_a) F(gamma_a z) over the letters
 a != i; the letter a carries functions on disc inv(a) to functions on disc i.
 Matrix coefficients are extracted by sampling on a circle inside the target
 disc and taking a discrete Fourier transform, which is spectrally accurate
-because every summand is holomorphic on a strictly larger disc.
+because every summand is holomorphic on a strictly larger disc.  Everything
+in a block that does not depend on s (sample points, log gamma', basis values
+at the images, scales) is built once per (group, lmax) and cached, so a new s
+costs one exponential, one batched FFT per target disc and two scalings.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product as _iproduct
@@ -130,48 +134,81 @@ class TransferMatrix:
         return self.mat.shape[0]
 
 
-def _scalar_block(data: sk.SchottkyData, s: complex, lmax: int,
-                  i: int, j: int) -> Optional[np.ndarray]:
-    """(lmax+1)^2 coefficient block carrying basis functions on disc j to
-    disc i (0-based disc indices), or None when inadmissible."""
+@functools.lru_cache(maxsize=32)
+def _sample_tables(data: sk.SchottkyData, lmax: int):
+    """The s-independent parts of every admissible block, built once per
+    (group, lmax) and stacked over the 2m(2m-1) (target, source) disc pairs
+    in target-major order (the 2m-1 pairs of target i are rows
+    i*(2m-1) .. (i+1)*(2m-1)-1):
+
+    - log gamma'(z) at the K = 4(lmax+1) sample points z on the circle of
+      radius 0.75 r_i about the target centre, shape (pairs, K);
+    - the source-disc basis functions at the images gamma(z), shape
+      (pairs, lmax+1, K);
+    - the sample radius to the powers 0..lmax, per target disc;
+    - the output scale sqrt(pi/(l+1)) r_i^(l+1), per target disc;
+
+    plus the (target, source) pairs themselves.  gamma is the generator of
+    the connecting letter inv(source)."""
     m = data.m
-    a0 = (j + m) % (2 * m)  # 0-based connecting letter, inv(j)
-    if a0 == i:
-        return None
-    g = data.gen(a0 + 1)
-    tgt = data.discs[i]
-    src = data.discs[j]
-    K = 4 * (lmax + 1)
-    rho = _SAMPLE_FRACTION * tgt.radius
-    z = tgt.center + rho * np.exp(2j * np.pi * np.arange(K) / K)
-    den = g.c * z + g.d
-    dv = 1.0 / den ** 2
-    if np.any((dv.real <= 0) & (np.abs(dv.imag) < 1e-300)):
-        raise ValueError("sampled derivative on the branch cut")
-    w = (g.a * z + g.b) / den
-    dpow = np.exp(s * np.log(dv))
-    # basis functions of the source disc evaluated at the image points
-    ell = np.arange(lmax + 1)
-    u = (w - src.center) / src.radius
-    phi = (np.sqrt((ell[:, None] + 1) / np.pi) / src.radius) * u[None, :] ** ell[:, None]
-    vals = dpow[None, :] * phi
-    taylor = np.fft.fft(vals, axis=1)[:, : lmax + 1] / K
-    taylor /= rho ** ell[None, :]
-    coeff = taylor * (np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1))[None, :]
-    return coeff.T  # rows: target degree, cols: source degree
+    nd = 2 * m
+    nb = lmax + 1
+    K = 4 * nb
+    npairs = nd * (nd - 1)
+    logd = np.empty((npairs, K), dtype=complex)
+    basis = np.empty((npairs, nb, K), dtype=complex)
+    rho_pow = np.empty((nd, nb))
+    scale = np.empty((nd, nb))
+    pairs = []
+    ell = np.arange(nb)
+    circle = np.exp(2j * np.pi * np.arange(K) / K)
+    for i in range(nd):
+        tgt = data.discs[i]
+        rho = _SAMPLE_FRACTION * tgt.radius
+        z = tgt.center + rho * circle
+        rho_pow[i] = rho ** ell
+        scale[i] = np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1)
+        for j in range(nd):
+            a0 = (j + m) % nd  # 0-based connecting letter, inv(j)
+            if a0 == i:
+                continue
+            g = data.gen(a0 + 1)
+            src = data.discs[j]
+            den = g.c * z + g.d
+            dv = 1.0 / den ** 2
+            if np.any((dv.real <= 0) & (np.abs(dv.imag) < 1e-300)):
+                raise ValueError("sampled derivative on the branch cut")
+            w = (g.a * z + g.b) / den
+            u = (w - src.center) / src.radius
+            k = len(pairs)
+            logd[k] = np.log(dv)
+            basis[k] = ((np.sqrt((ell[:, None] + 1) / np.pi) / src.radius)
+                        * u[None, :] ** ell[:, None])
+            pairs.append((i, j))
+    for arr in (logd, basis, rho_pow, scale):
+        arr.setflags(write=False)
+    return logd, basis, rho_pow, scale, tuple(pairs)
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
     """Scalar coefficient blocks keyed by (target disc, source disc),
-    0-based; missing keys are structurally zero."""
+    0-based; missing keys are structurally zero.  Block (i, j) has rows
+    indexed by target degree and columns by source degree."""
     if lmax < 2:
         raise ValueError("lmax must be >= 2")
+    logd, basis, rho_pow, scale, pairs = _sample_tables(data, lmax)
+    nb = lmax + 1
+    K = 4 * nb
+    per = 2 * data.m - 1
     blocks = {}
     for i in range(2 * data.m):
-        for j in range(2 * data.m):
-            b = _scalar_block(data, s, lmax, i, j)
-            if b is not None:
-                blocks[(i, j)] = b
+        rows = slice(i * per, (i + 1) * per)
+        vals = np.exp(s * logd[rows])[:, None, :] * basis[rows]
+        taylor = np.fft.fft(vals, axis=2)[:, :, :nb] / K
+        taylor /= rho_pow[i]
+        coeff = taylor * scale[i]
+        for key, c in zip(pairs[rows], coeff):
+            blocks[key] = c.T
     return blocks
 
 

@@ -103,6 +103,22 @@ def test_modulus_field_symmetry(sym3, delta3):
         assert abs(a - b) < 1e-10
 
 
+def test_theta_det_equals_twisted_placement():
+    """Phases on the column slabs of the untwisted matrix give the same
+    determinant, bit for bit, as placing every block with its character."""
+    rng = np.random.default_rng(5)
+    for data, lmax in ((sk.preset("symmetric3"), 16), (sk.preset("cylinder"), 12),
+                       (sk.preset("sl2z-crossed"), 8)):
+        s = complex(0.53, 0.2)
+        det = abelian._theta_det_factory(data, s, lmax)
+        blocks = transfer.assemble_blocks(data, s, lmax)
+        for _ in range(20):
+            theta = tuple(rng.uniform(-1.0, 2.0, size=data.m))
+            expected = transfer.fredholm_det(transfer.blocks_to_matrix(
+                data, blocks, lmax, TwistSpec.abelian(theta)))
+            assert det(theta) == expected
+
+
 def test_implicit_curve_properties(sym3, delta3):
     curve = abelian.implicit_curve(sym3, 0.05, grid_n=5, delta=delta3)
     phi0 = curve.lookup((0.0, 0.0))

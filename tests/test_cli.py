@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from reslab import cli
+from reslab import cli, transfer
 
 
 def run(argv):
@@ -41,6 +41,35 @@ def test_validate_pass_and_fail(tmp_path, capsys):
 def test_malformed_input_is_validation_failure(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert "validation failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, artifact, key", [
+    (["delta", "--preset", "cylinder", "--tol", "0"], 2, None, None),
+    (["equidist", "--preset", "symmetric3", "--covers", "2", "--fine", "0"],
+     2, None, None),
+    (["equidist", "--preset", "symmetric3", "--covers", "2", "--lmax", "8",
+      "--fine", "2", "--axis", "0"], 0, "equidist.json", "axis"),
+    (["congruence", "--preset", "sl2z-pair", "--prime", "0"], 2, None, None),
+    (["congruence", "--preset", "sl2z-pair", "--prime", "5", "--beta", "0"],
+     2, None, None),
+    (["explicit-formula", "--preset", "symmetric3", "--order", "0"],
+     2, None, None),
+    (["explicit-formula", "--preset", "symmetric3", "--eps", "0"],
+     2, None, None),
+    (["explicit-formula", "--preset", "symmetric3", "--alpha", "0"],
+     0, "explicit_formula.json", "alpha"),
+    (["explicit-formula", "--preset", "symmetric3", "--T", "0"], 2, None, None),
+], ids=["tol", "fine", "axis", "prime", "beta", "order", "eps", "alpha", "T"])
+def test_explicit_zero_is_used_or_rejected(argv, code, artifact, key,
+                                           tmp_path, capsys):
+    """A flag given as 0 is never replaced by its default: the run either
+    records the 0 or ends in a validation failure."""
+    assert run(argv + ["--out", str(tmp_path)]) == code
+    if code == 2:
+        assert "validation failure" in capsys.readouterr().err
+    else:
+        body = json.loads((tmp_path / artifact).read_text())
+        assert body[key] == 0
 
 
 def test_delta_stdout_deterministic(capsys):
@@ -98,6 +127,8 @@ def test_config_experiment_mismatch(tmp_path, capsys):
 def test_zeta_scan_thread_determinism(tmp_path, capsys):
     outputs = {}
     for threads in (1, 2, 8):
+        # cold table cache: the pool's threads race to build the tables
+        transfer._sample_tables.cache_clear()
         sub = tmp_path / f"t{threads}"
         sub.mkdir()
         code = run(["zeta-scan", "--preset", "symmetric3",

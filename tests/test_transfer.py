@@ -24,6 +24,55 @@ def _rand_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()
 
 
+def _scalar_block(data, s, lmax, i, j):
+    """Reference: one (lmax+1)^2 block carrying basis functions on disc j to
+    disc i, built from scratch, or None when inadmissible."""
+    m = data.m
+    a0 = (j + m) % (2 * m)
+    if a0 == i:
+        return None
+    g = data.gen(a0 + 1)
+    tgt = data.discs[i]
+    src = data.discs[j]
+    K = 4 * (lmax + 1)
+    rho = 0.75 * tgt.radius
+    z = tgt.center + rho * np.exp(2j * np.pi * np.arange(K) / K)
+    den = g.c * z + g.d
+    dv = 1.0 / den ** 2
+    w = (g.a * z + g.b) / den
+    dpow = np.exp(s * np.log(dv))
+    ell = np.arange(lmax + 1)
+    u = (w - src.center) / src.radius
+    phi = (np.sqrt((ell[:, None] + 1) / np.pi) / src.radius) * u[None, :] ** ell[:, None]
+    vals = dpow[None, :] * phi
+    taylor = np.fft.fft(vals, axis=1)[:, : lmax + 1] / K
+    taylor /= rho ** ell[None, :]
+    coeff = taylor * (np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1))[None, :]
+    return coeff.T
+
+
+def test_batched_blocks_match_scalar_reference():
+    """Blocks from the cached tables equal the per-block construction bit for
+    bit, with several (group, lmax) keys live in the cache at once."""
+    for name in ("cylinder", "symmetric3", "sl2z-pair", "sl2z-crossed"):
+        data = sk.preset(name)
+        for lmax in (2, 12, 16, 32):
+            for s in (0.45, complex(0.3, 1.7), complex(0.7, -3.2)):
+                blocks = transfer.assemble_blocks(data, s, lmax)
+                n = 2 * data.m
+                expected = {(i, j): _scalar_block(data, s, lmax, i, j)
+                            for i in range(n) for j in range(n)}
+                expected = {k: b for k, b in expected.items() if b is not None}
+                assert list(blocks) == list(expected)
+                for key, b in expected.items():
+                    assert np.array_equal(blocks[key], b), (name, lmax, s, key)
+
+
+def test_lmax_checked_before_data():
+    with pytest.raises(ValueError):
+        transfer.assemble_blocks(None, 0.5, 1)
+
+
 def test_trivial_equals_zero_character(sym3):
     s = complex(0.7, 0.4)
     a = transfer.assemble(sym3, s, TwistSpec.trivial(), 10).mat
