@@ -143,22 +143,24 @@ def cheeger_exhaustive(adj: np.ndarray) -> float:
     """
     adj = np.ascontiguousarray(adj, dtype=np.float64)
     n = adj.shape[0]
-    deg = adj.sum(axis=1)
+    # a vertex subset is the bit mask of its members; an edge {i, j} is cut
+    # when exactly one of bits i and j is set
+    ei, ej = np.nonzero(np.triu(adj, 1))
+    weights = adj[ei, ej]
     best = np.inf
     chunk = 1 << 16
     total = 1 << n
-    bits = np.arange(n)
     for start in range(1, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        ind = ((masks[:, None] >> bits[None, :]) & 1).astype(np.float64)
-        sizes = ind.sum(axis=1)
+        sizes = np.bitwise_count(masks)
         ok = (sizes >= 1) & (2 * sizes <= n)
         if not ok.any():
             continue
-        ind = ind[ok]
+        masks = masks[ok]
         sizes = sizes[ok]
-        inner = np.einsum("ci,ij,cj->c", ind, adj, ind)
-        cut = ind @ deg - inner
+        cut = np.zeros(masks.shape[0])
+        for i, j, w in zip(ei.tolist(), ej.tolist(), weights.tolist()):
+            cut += w * (((masks >> i) ^ (masks >> j)) & 1)
         best = min(best, float(np.min(cut / sizes)))
     return best
 

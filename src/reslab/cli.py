@@ -292,6 +292,8 @@ def _run_congruence(args) -> int:
     data = _load_group(args)
     p = _number(args, "prime", 101, int)
     beta = _number(args, "beta", 1.5, float)
+    if not 0 < beta < 2:
+        raise ValidationFailure(f"--beta must be in (0, 2), got {beta:g}")
     try:
         stats = congruence.class_statistics(p)
         violations = congruence.conj1_check(data, p, beta)

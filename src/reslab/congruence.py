@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -163,29 +162,10 @@ def classify(g: FpMatrix) -> ConjClassLabel:
     # t = +-2, non central: unipotent up to sign
     sign = 1 if t == 2 else -1
     h = g if sign == 1 else g.neg()
-    # shear invariant: conjugate h to [[1, x],[0,1]]; the square class of x
-    # is the conjugation invariant separating the two unipotent classes
-    n_c, n_d = h.c, (h.d - 1) % p
-    # fixed vector v of h: kernel of the rank-1 nilpotent h - I
-    if n_c != 0:
-        v1, v2 = (p - (n_d * pow(n_c, p - 2, p)) % p) % p, 1
-    else:
-        # c = 0 with zero trace and determinant forces h = [[1, b],[0, 1]]
-        v1, v2 = 1, 0
-    # complete v to an SL2 basis (v, w), det(v w) = 1
-    if v2 != 0:
-        w1, w2 = pow(v2, p - 2, p), 0
-    else:
-        w1, w2 = 0, pow(v1, p - 2, p)
-    det = (v1 * w2 - v2 * w1) % p
-    if det != 1:
-        w1, w2 = (p - w1) % p, (p - w2) % p
-    # x = second column entry of conj^{-1} h conj in the (v, w) basis:
-    # h w = x v + w  =>  x = det(h w - w, w-normalization) against v
-    hw1 = (h.a * w1 + h.b * w2) % p
-    hw2 = (h.c * w1 + h.d * w2) % p
-    # solve hw = x*v + y*w; since (v,w) unimodular basis: x = det([hw, w])
-    x = (hw1 * w2 - hw2 * w1) % p
+    # shear invariant: h is conjugate to [[1, x], [0, 1]], and conjugating
+    # that by [[a', b'], [c', d']] gives c_h = -x c'^2 and b_h = x a'^2, so
+    # the square class of x is that of -c_h, or of b_h when c_h = 0
+    x = (p - h.c) % p if h.c else h.b
     return ConjClassLabel(trace=t, kind="unipotent", sign=sign,
                           square_class=_legendre(x, p))
 
@@ -195,22 +175,50 @@ def group_order(p: int) -> int:
 
 
 def all_elements(p: int) -> np.ndarray:
-    """(n, 4) int64 array of every SL2(F_p) element."""
-    rows = []
-    for a, b, c in _iproduct(range(p), repeat=3):
-        if a == 0:
-            if b == 0:
-                continue
-            # -bc = 1 -> c = -1/b, d free
-            if c != (p - pow(b, p - 2, p)) % p:
-                continue
-            for d in range(p):
-                rows.append((a, b, c, d))
-        else:
-            # d = (1 + bc)/a
-            d = ((1 + b * c) * pow(a, p - 2, p)) % p
-            rows.append((a, b, c, d))
-    return np.array(rows, dtype=np.int64)
+    """(n, 4) int64 array of every SL2(F_p) element, rows (a, b, c, d) in
+    lexicographic order."""
+    r = np.arange(p, dtype=np.int64)
+    inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int64)
+    # a = 0: -bc = 1, so b != 0, c = -1/b and d is free
+    b0 = np.repeat(r[1:], p)
+    zero = np.column_stack([np.zeros_like(b0), b0, (-inv[b0]) % p, np.tile(r, p - 1)])
+    # a != 0: d = (1 + bc)/a
+    a, b, c = (x.ravel() for x in np.meshgrid(r[1:], r, r, indexing="ij"))
+    rest = np.column_stack([a, b, c, (1 + b * c) % p * inv[a] % p])
+    return np.concatenate([zero, rest])
+
+
+# Slot of each (kind, sign, square_class) in a class code: code = 8*trace + slot.
+_SLOTS = (("central", 1, 0), ("central", -1, 0), ("split-torus", 0, 0),
+          ("nonsplit-torus", 0, 0), ("unipotent", 1, 1), ("unipotent", 1, -1),
+          ("unipotent", -1, 1), ("unipotent", -1, -1))
+
+
+def _classify_codes(elems: np.ndarray, p: int) -> np.ndarray:
+    """classify() over (n, 4) int64 rows with entries in [0, p): one code
+    8*trace + slot per row, slot indexing _SLOTS."""
+    a, b, c, d = (elems[:, i] for i in range(4))
+    leg = np.full(p, -1, dtype=np.int64)  # Legendre symbol of 0..p-1
+    leg[0] = 0
+    leg[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    t = (a + d) % p
+    disc = leg[(t * t - 4) % p]
+    # t = +-2: unipotent up to sign, h = sign*g, with the shear invariant of
+    # classify()
+    sign = np.where(t == 2, 1, -1)
+    hb, hc = (sign * b) % p, (sign * c) % p
+    square = leg[np.where(hc != 0, (p - hc) % p, hb)]
+    slot = np.where(disc == 1, 2, 3)
+    slot = np.where(disc == 0, np.where(sign == 1, 4, 6) + (square == -1), slot)
+    diagonal = (b == 0) & (c == 0)
+    slot[diagonal & (a == 1) & (d == 1)] = 0
+    slot[diagonal & (a == p - 1) & (d == p - 1)] = 1
+    return 8 * t + slot
+
+
+def _decode(code: int) -> ConjClassLabel:
+    kind, sign, square = _SLOTS[code % 8]
+    return ConjClassLabel(trace=code // 8, kind=kind, sign=sign, square_class=square)
 
 
 def conjugacy_partition_mod_p(elems: np.ndarray, p: int) -> np.ndarray:
@@ -224,15 +232,18 @@ def conjugacy_partition_mod_p(elems: np.ndarray, p: int) -> np.ndarray:
     n = elems.shape[0]
     key = ((elems[:, 0] * p + elems[:, 1]) * p + elems[:, 2]) * p + elems[:, 3]
     order = np.argsort(key, kind="stable")
-    lookup = dict(zip(key[order].tolist(), order.tolist()))
+    sorted_keys = key[order]
     a, b, c, d = (elems[:, i] for i in range(4))
     # inverses: [[d, -b], [-c, a]] mod p
     ia, ib, ic, id_ = d, (-b) % p, (-c) % p, a
     labels = np.full(n, -1, dtype=np.int64)
     nxt = 0
-    for x in range(n):
-        if labels[x] >= 0:
-            continue
+    x = 0
+    while True:
+        todo = np.flatnonzero(labels[x:] < 0)
+        if todo.size == 0:
+            break
+        x += int(todo[0])
         xa, xb, xc, xd = (int(elems[x, i]) for i in range(4))
         # orbit of x under conjugation by every g: g x g^-1
         ga, gb, gc, gd = a, b, c, d
@@ -245,8 +256,7 @@ def conjugacy_partition_mod_p(elems: np.ndarray, p: int) -> np.ndarray:
         zc = (yc * ia + yd * ic) % p
         zd = (yc * ib + yd * id_) % p
         zkey = ((za * p + zb) * p + zc) * p + zd
-        for kk in np.unique(zkey):
-            labels[lookup[int(kk)]] = nxt
+        labels[order[np.searchsorted(sorted_keys, np.unique(zkey))]] = nxt
         nxt += 1
     return labels
 
@@ -276,12 +286,10 @@ def class_statistics(p: int, validate: Optional[bool] = None) -> dict:
     if validate is None:
         validate = p <= BRUTE_FORCE_CAP
     elems = all_elements(p)
-    labels = [classify(FpMatrix(*row, p)) for row in elems.tolist()]
-    table: dict[ConjClassLabel, int] = {}
-    for lab in labels:
-        table[lab] = table.get(lab, 0) + 1
+    codes = _classify_codes(elems, p)
+    uniq, counts = np.unique(codes, return_counts=True)
     out = {}
-    for lab, measured in sorted(table.items()):
+    for lab, measured in sorted(zip(map(_decode, uniq.tolist()), counts.tolist())):
         size = class_size(lab, p)
         if measured != size:
             raise AssertionError(f"class size mismatch for {lab}: {measured} vs {size}")
@@ -290,18 +298,15 @@ def class_statistics(p: int, validate: Optional[bool] = None) -> dict:
         raise AssertionError("class equation violated")
     if validate:
         part = conjugacy_partition_mod_p(elems, p)
-        by_orbit: dict[int, set] = {}
-        for lab, orb in zip(labels, part.tolist()):
-            by_orbit.setdefault(orb, set()).add(lab)
-        orbits_per_label: dict[ConjClassLabel, int] = {}
-        for orb, labs in by_orbit.items():
-            if len(labs) != 1:
-                raise AssertionError(f"orbit {orb} carries several labels: {labs}")
-            lab = next(iter(labs))
-            orbits_per_label[lab] = orbits_per_label.get(lab, 0) + 1
-        if any(n != 1 for n in orbits_per_label.values()):
+        # distinct (orbit, code) pairs: a bijection iff each orbit carries one
+        # code and each code covers one orbit
+        pairs = np.unique(part * (8 * p) + codes)
+        orbits, pair_codes = pairs // (8 * p), pairs % (8 * p)
+        if np.unique(orbits).size != pairs.size:
+            raise AssertionError("an orbit carries several labels")
+        if np.unique(pair_codes).size != pairs.size:
             raise AssertionError("one label covers several brute-force orbits")
-        if len(by_orbit) != len(out):
+        if pairs.size != len(out):
             raise AssertionError("orbit count differs from label count")
     return out
 

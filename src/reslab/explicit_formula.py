@@ -176,8 +176,7 @@ def geodesic_sum(data: SchottkyData, T: float, phi0: Callable,
     prims = sk.primitive_geodesics(data, T, depth_cap=depth_cap, warn=warn)
     if warn:
         raise ValueError(
-            f"geodesic table incomplete to length {T}: raise depth_cap "
-            f"above {depth_cap} ({warn[0]})")
+            f"geodesic table incomplete to length {T}: {warn[0]}")
     total = 0.0 + 0.0j
     for c in prims:
         k = 1

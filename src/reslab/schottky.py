@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _DET_TOL = 1e-12
+# Most words primitive_geodesics lists at one depth, 2m(2m-1)^(n-1) at depth n.
+MAX_DEPTH_WORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -475,22 +477,28 @@ def primitive_geodesics(data: SchottkyData, max_length: float,
     max_length; C and its inverse are distinct classes.
 
     Completeness is guaranteed by growing the word depth until the shortest
-    class at a depth exceeds max_length; if the depth cap is hit first a
-    warning string is appended to `warn` (when given).
+    class at a depth exceeds max_length.  If the depth cap is hit first, or
+    the next depth would list more than MAX_DEPTH_WORDS words, enumeration
+    stops and a warning string is appended to `warn` (when given).
     """
     if max_length <= 0:
         raise ValueError("max_length must be positive")
     out: list[GeodesicClass] = []
-    complete = False
+    stop = f"word depth cap {depth_cap} reached before length {max_length}"
     for n in range(1, depth_cap + 1):
+        words = 2 * data.m * (2 * data.m - 1) ** (n - 1)
+        if words > MAX_DEPTH_WORDS:
+            stop = (f"depth {n} has {words} words, above the budget of "
+                    f"{MAX_DEPTH_WORDS}, before length {max_length}")
+            break
         classes = _classes_at_depth(data, n)
         shortest = min((c.length for c in classes), default=math.inf)
         out.extend(c for c in classes if c.length <= max_length)
         if shortest > max_length:
-            complete = True
+            stop = None
             break
-    if not complete and warn is not None:
-        warn.append(f"word depth cap {depth_cap} reached before length {max_length}")
+    if stop is not None and warn is not None:
+        warn.append(stop)
     out.sort(key=lambda c: (c.length, c.word))
     return out
 

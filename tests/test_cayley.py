@@ -148,3 +148,32 @@ def test_graph_from_group_drops_zero_images():
     assert g.gens == ((1, 0), (7, 0))
     with pytest.raises(ValueError):
         cy.graph_from_group(pair, (8,))
+
+
+def _cheeger_by_einsum(adj):
+    """Reference sweep: cut(A) = 1_A . deg - 1_A^T adj 1_A over every subset
+    with 1 <= |A| <= n/2."""
+    adj = np.asarray(adj, dtype=np.float64)
+    n = adj.shape[0]
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    ind = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+    sizes = ind.sum(axis=1)
+    ok = 2 * sizes <= n
+    ind, sizes = ind[ok], sizes[ok]
+    cut = ind @ adj.sum(axis=1) - np.einsum("ci,ij,cj->c", ind, adj, ind)
+    return float(np.min(cut / sizes))
+
+
+def _random_multiplicities(rng):
+    n = int(rng.integers(2, 13))
+    upper = np.triu(rng.integers(0, 4, size=(n, n)), 1)
+    return (upper + upper.T).astype(float)
+
+
+@pytest.mark.parametrize("adj", [
+    *(cy.adjacency_matrix(cy.cycle_graph(N)) for N in range(3, 17)),
+    cy.adjacency_matrix(cy.CayleyGraph(AbelianQuotient((4,)), ((1,), (3,), (2,)))),
+    *(_random_multiplicities(np.random.default_rng(seed)) for seed in range(20)),
+], ids=[*(f"C{N}" for N in range(3, 17)), "K4", *(f"random{s}" for s in range(20))])
+def test_cheeger_bitmask_equals_einsum_sweep(adj):
+    assert cy.cheeger_exhaustive(adj) == _cheeger_by_einsum(adj)

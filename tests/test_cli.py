@@ -66,10 +66,28 @@ def test_explicit_zero_is_used_or_rejected(argv, code, artifact, key,
     records the 0 or ends in a validation failure."""
     assert run(argv + ["--out", str(tmp_path)]) == code
     if code == 2:
-        assert "validation failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation failure" in err
+        if "--beta" in argv:
+            assert "--beta" in err
     else:
         body = json.loads((tmp_path / artifact).read_text())
         assert body[key] == 0
+
+
+def test_beta_at_upper_end_is_rejected_at_the_flag(tmp_path, capsys):
+    assert run(["congruence", "--preset", "sl2z-pair", "--prime", "5",
+                "--beta", "2", "--out", str(tmp_path)]) == 2
+    assert "--beta must be in (0, 2)" in capsys.readouterr().err
+
+
+def test_explicit_formula_beyond_word_budget_is_rejected(tmp_path, capsys):
+    """Length 100 on symmetric3 would need word depths whose listings do not
+    fit in memory; enumeration stops at the word budget and the run exits 2."""
+    assert run(["explicit-formula", "--preset", "symmetric3", "--T", "100",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "geodesic table incomplete" in err and "budget" in err
 
 
 def test_delta_stdout_deterministic(capsys):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -109,6 +110,72 @@ def test_class_statistics_f5_values():
     assert kinds.count("unipotent") == 4
     assert kinds.count("split-torus") == (5 - 3) // 2
     assert kinds.count("nonsplit-torus") == (5 - 1) // 2
+
+
+PRIMES_TO_43 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+
+
+def _all_elements_by_loop(p):
+    """Reference listing: solve ad - bc = 1 row by row in (a, b, c, d) order."""
+    rows = []
+    for a, b, c in product(range(p), repeat=3):
+        if a == 0:
+            if b == 0:
+                continue
+            # -bc = 1 -> c = -1/b, d free
+            if c != (p - pow(b, p - 2, p)) % p:
+                continue
+            for d in range(p):
+                rows.append((a, b, c, d))
+        else:
+            # d = (1 + bc)/a
+            d = ((1 + b * c) * pow(a, p - 2, p)) % p
+            rows.append((a, b, c, d))
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_43)
+def test_all_elements_matches_loop_listing(p):
+    assert np.array_equal(cg.all_elements(p), _all_elements_by_loop(p))
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_43)
+def test_classify_codes_decode_to_classify(p):
+    elems = cg.all_elements(p)
+    codes = cg._classify_codes(elems, p)
+    scalar = [cg.classify(FpMatrix(*row, p)) for row in elems.tolist()]
+    assert [cg._decode(c) for c in codes.tolist()] == scalar
+
+
+@pytest.mark.parametrize("p, validate", [(p, None) for p in PRIMES_TO_43]
+                         + [(101, False)])
+def test_class_statistics_closed_form(p, validate):
+    """p + 4 classes: the two central ones, four unipotent ones and
+    (p - 3)/2 split and (p - 1)/2 nonsplit tori, with their class sizes."""
+    stats = cg.class_statistics(p, validate=validate)
+    assert len(stats) == p + 4
+    sizes = {"central": 1, "unipotent": (p * p - 1) // 2,
+             "split-torus": p * (p + 1), "nonsplit-torus": p * (p - 1)}
+    counts = {"central": 2, "unipotent": 4,
+              "split-torus": (p - 3) // 2, "nonsplit-torus": (p - 1) // 2}
+    kinds = [lab.kind for lab in stats]
+    assert {k: kinds.count(k) for k in counts} == counts
+    for lab, (size, cent) in stats.items():
+        assert size == sizes[lab.kind]
+        assert size * cent == cg.group_order(p)
+
+
+def test_class_statistics_never_calls_scalar_classify(monkeypatch):
+    calls = []
+    scalar = cg.classify
+
+    def counting(g):
+        calls.append(g)
+        return scalar(g)
+
+    monkeypatch.setattr(cg, "classify", counting)
+    cg.class_statistics(43)
+    assert len(calls) == 0
 
 
 def test_trace_multiplicities_partition(pair):
