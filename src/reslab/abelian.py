@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import schottky as sk
-from . import thermo, transfer, zeros
+from . import transfer, zeros
 from .schottky import GeodesicClass, SchottkyData
 from .transfer import TwistSpec
 
@@ -109,7 +109,7 @@ def nonvanishing_scan(data: SchottkyData, grid_n: int = 64,
     from the integer lattice, its argmin, and the residual at theta = 0.
     """
     if delta is None:
-        delta = thermo.critical_exponent(data, lmax)
+        delta = zeros._delta_of(data, lmax)
     det = _theta_det_factory(data, complex(delta), lmax)
     axes = [np.arange(grid_n) / grid_n for _ in range(data.m)]
     best = math.inf
@@ -157,7 +157,7 @@ def implicit_curve(data: SchottkyData, epsilon: float, grid_n: int = 5,
     warm-started Newton; epsilon shrinks (up to max_shrink times) if the
     continuation fails anywhere."""
     if delta is None:
-        delta = thermo.critical_exponent(data, lmax)
+        delta = zeros._delta_of(data, lmax)
     m = data.m
     for attempt in range(max_shrink + 1):
         eps = epsilon * (0.5 ** attempt)
@@ -188,7 +188,7 @@ def curve_hessian(data: SchottkyData, h: float = 0.01, lmax: int = 16,
                   delta: Optional[float] = None) -> np.ndarray:
     """Finite-difference Hessian of Re(phi) at theta = 0."""
     if delta is None:
-        delta = thermo.critical_exponent(data, lmax)
+        delta = zeros._delta_of(data, lmax)
     m = data.m
 
     def phi(theta):
@@ -246,9 +246,10 @@ def _reference_samples(data: SchottkyData, window, delta: float,
         theta = _axis_theta(data.m, axis, t)
         start = warm.get(idx - 1, warm.get(idx + 1, complex(delta)))
         phi, ok = _phi_at(data, theta, start, lmax)
-        if ok and abs(phi.imag) < 1e-6 and lo <= phi.real <= hi:
-            vals.append(phi.real)
+        if ok:
             warm[idx] = phi
+            if abs(phi.imag) < 1e-6 and lo <= phi.real <= hi:
+                vals.append(phi.real)
     return np.array(sorted(vals))
 
 
@@ -272,7 +273,7 @@ def equidistribution_experiment(data: SchottkyData,
     The first modulus grows along the sequence; all characters are continued
     from delta along the wrapped coordinate, and the Kolmogorov distance of
     the empirical zero positions to the curve pushforward is reported."""
-    delta = thermo.critical_exponent(data, max(lmax, 12))
+    delta = zeros._delta_of(data, max(lmax, 12))
     if window is None:
         window = (delta - 0.1, delta + 0.02)
     lo, hi = window
@@ -289,9 +290,10 @@ def equidistribution_experiment(data: SchottkyData,
             theta = _axis_theta(data.m, axis, a / N)
             start = warm.get(a - 1, warm.get((a + 1) % N, complex(delta)))
             phi, ok = _phi_at(data, theta, start, lmax)
-            if ok and abs(phi.imag) < 1e-6 and lo <= phi.real <= hi:
-                emp.append(phi.real)
+            if ok:
                 warm[a] = phi
+                if abs(phi.imag) < 1e-6 and lo <= phi.real <= hi:
+                    emp.append(phi.real)
         emp = np.array(sorted(emp))
         ks_list.append(_ks_distance(emp, ref))
         counts.append(len(emp))

@@ -94,18 +94,27 @@ def _number(args, name: str, default, kind):
         raise ValidationFailure(f"cannot parse {name}: {value!r}")
 
 
-def _lmax(args, default: int) -> int:
-    """Bergman truncation order from --lmax; the transfer matrix needs >= 2."""
+def _lmax(args, default: int, minimum: int = 2) -> int:
+    """Bergman truncation order from --lmax; the transfer matrix needs >= 2,
+    the pressure >= thermo.MIN_LMAX."""
     lmax = _number(args, "lmax", default, int)
-    if lmax < 2:
-        raise ValidationFailure(f"lmax must be >= 2, got {lmax}")
+    if lmax < minimum:
+        raise ValidationFailure(f"lmax must be >= {minimum}, got {lmax}")
     return lmax
 
 
-def _load_group(args) -> sk.SchottkyData:
+def _load_group(args, check: bool = True) -> sk.SchottkyData:
+    """The group of --group or --preset. A group file must pass
+    schottky.validate unless check is False; presets are not re-checked."""
     if getattr(args, "group", None):
         with open(args.group) as fh:
-            return sk.load_group_json(json.load(fh))
+            data = sk.load_group_json(json.load(fh))
+        if check:
+            failed = [c.name for c in sk.validate(data).checks if not c.passed]
+            if failed:
+                raise ValidationFailure(
+                    f"group file {args.group} fails {', '.join(failed)}")
+        return data
     name = getattr(args, "preset", None) or "symmetric3"
     kwargs = {}
     if getattr(args, "trace", None) is not None:
@@ -133,7 +142,7 @@ def _out_path(args, name: str) -> str:
 # experiment runners
 
 def _run_validate(args) -> int:
-    data = _load_group(args)
+    data = _load_group(args, check=False)
     rep = sk.validate(data)
     print(rep.summary())
     if getattr(args, "out", None):
@@ -149,13 +158,13 @@ def _run_validate(args) -> int:
 
 def _run_delta(args) -> int:
     data = _load_group(args)
-    lmax = _lmax(args, 16)
+    lmax = _lmax(args, 16, thermo.MIN_LMAX)
     tol = _number(args, "tol", 1e-12, float)
     if not tol > 0:
         raise ValidationFailure(f"tol must be positive, got {tol}")
     try:
         delta = thermo.critical_exponent(data, lmax=lmax, tol=tol)
-    except (RuntimeError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         raise NonConvergence(f"thermo: {exc}")
     print(report.fmt_float(delta))
     if getattr(args, "out", None):
@@ -216,7 +225,7 @@ def _run_resonances(args) -> int:
         "zeros": [{"re": z.real, "im": z.imag, "multiplicity": m}
                   for z, m in rs.zeros],
     })
-    delta = thermo.critical_exponent(data)
+    delta = zeros._delta_of(data, thermo.DEFAULT_LMAX)
     report.emit_svg([(z.real, z.imag, float(m)) for z, m in rs.zeros],
                     _out_path(args, "resonances.svg"),
                     annotations=[(delta, 0.0, "delta")],

@@ -55,8 +55,11 @@ class ResonanceSet:
 
 
 @lru_cache(maxsize=32)
-def _delta_of(data: sk.SchottkyData) -> float:
-    return thermo.critical_exponent(data)
+def _delta_of(data: sk.SchottkyData, lmax: int) -> float:
+    """The critical exponent at the default tolerance, once per (group, lmax).
+
+    Call it positionally: the cache keys on how the arguments are passed."""
+    return thermo.critical_exponent(data, lmax)
 
 
 def euler_product(data: sk.SchottkyData, s: complex, twist: TwistSpec,
@@ -65,7 +68,7 @@ def euler_product(data: sk.SchottkyData, s: complex, twist: TwistSpec,
     """Truncated product over primitive classes C and shifts k of
     det(I - rho(C) e^{-(s+k) l(C)}); valid only right of the critical line."""
     if delta is None:
-        delta = _delta_of(data)
+        delta = _delta_of(data, thermo.DEFAULT_LMAX)
     if s.real <= delta + EULER_MARGIN:
         raise ValueError(
             f"euler_product requires Re(s) > delta + {EULER_MARGIN} "

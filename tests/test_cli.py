@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from reslab import cli, transfer
+from reslab import cli, thermo, transfer
+from reslab import schottky as sk
 
 
 def run(argv):
@@ -88,6 +89,53 @@ def test_explicit_formula_beyond_word_budget_is_rejected(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "geodesic table incomplete" in err and "budget" in err
+
+
+def test_group_file_failing_validation_is_rejected_before_the_experiment(tmp_path, capsys):
+    """symmetric3 with every radius tripled: the discs overlap and the
+    generators no longer pair their boundaries."""
+    group = sk.group_to_json(sk.preset("symmetric3"))
+    for disc in group["discs"]:
+        disc["radius"] *= 3
+    path = tmp_path / "tripled.json"
+    path.write_text(json.dumps(group))
+    assert run(["validate", "--group", str(path)]) == 2
+    assert "[FAIL] disc_disjointness" in capsys.readouterr().out
+    assert run(["delta", "--group", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "disc_disjointness" in captured.err and "boundary_mapping" in captured.err
+
+
+def test_valid_group_file_gives_the_preset_delta(tmp_path, capsys):
+    path = tmp_path / "sym3.json"
+    path.write_text(json.dumps(sk.group_to_json(sk.preset("symmetric3"))))
+    assert run(["delta", "--group", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert run(["delta", "--preset", "symmetric3"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_delta_lmax_below_pressure_minimum_is_validation_failure(capsys):
+    assert run(["delta", "--preset", "symmetric3", "--lmax", "3"]) == 2
+    assert "lmax must be >= 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch", ["no_sign_change", "iteration_cap"])
+def test_delta_arithmetic_error_is_nonconvergence(patch, capsys, monkeypatch):
+    if patch == "no_sign_change":
+        monkeypatch.setattr(thermo, "pressure", lambda data, sigma, lmax: 1.0)
+    else:
+        monkeypatch.setattr(thermo, "ROOT_MAXITER", 2)
+    assert run(["delta", "--preset", "symmetric3"]) == 3
+    assert "non-convergence: thermo:" in capsys.readouterr().err
+
+
+def test_delta_at_tiny_tolerance(capsys):
+    """A tolerance below the float spacing stops when the bracket is down to
+    adjacent floats, not at the iteration cap."""
+    assert run(["delta", "--preset", "symmetric3", "--tol", "1e-30"]) == 0
+    assert abs(float(capsys.readouterr().out) - 0.2515811641598957) < 1e-12
 
 
 def test_delta_stdout_deterministic(capsys):

@@ -1,10 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from reslab import schottky as sk
-from reslab import thermo, transfer, zeros
+from reslab import abelian, thermo, transfer, zeros
+
+# delta at lmax 16 and the default tolerance, recorded from scipy's brentq
+RECORDED_DELTA = {
+    "symmetric3": 0.2515811641598957,
+    "sl2z-pair": 0.39391966002121476,
+    "sl2z-crossed": 0.5434342722006534,
+}
+# pressure evaluations per delta that brentq needed (P(0), P(1), its own two
+# end-point evaluations, its steps and the final residual check)
+BRENTQ_PRESSURE_CALLS = {"symmetric3": 10, "sl2z-pair": 11, "sl2z-crossed": 11}
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +97,68 @@ def test_class_count_growth(sym3):
 def test_pressure_rejects_small_lmax(sym3):
     with pytest.raises(ValueError):
         thermo.pressure(sym3, 0.5, lmax=2)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DELTA))
+def test_delta_matches_recorded_value(name):
+    assert abs(thermo.critical_exponent(sk.preset(name), 16)
+               - RECORDED_DELTA[name]) < 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DELTA))
+def test_delta_needs_no_more_pressure_evaluations_than_brentq(name, monkeypatch):
+    data = sk.preset(name)
+    calls = []
+    pressure = thermo.pressure
+
+    def counting(*args):
+        calls.append(args[1])
+        return pressure(*args)
+
+    monkeypatch.setattr(thermo, "pressure", counting)
+    thermo.critical_exponent(data, 16)
+    assert len(calls) <= BRENTQ_PRESSURE_CALLS[name]
+
+
+def test_delta_without_sign_change_raises(sym3, monkeypatch):
+    monkeypatch.setattr(thermo, "pressure", lambda data, sigma, lmax: 1.0 - 0.5 * sigma)
+    with pytest.raises(ArithmeticError, match="no sign change"):
+        thermo.critical_exponent(sym3)
+
+
+def test_delta_iteration_cap_raises(sym3, monkeypatch):
+    monkeypatch.setattr(thermo, "ROOT_MAXITER", 2)
+    with pytest.raises(ArithmeticError, match="2 steps"):
+        thermo.critical_exponent(sym3)
+
+
+def test_delta_cache_computes_each_group_and_lmax_once(sym3, monkeypatch):
+    lmaxes = []
+    critical_exponent = thermo.critical_exponent
+
+    def counting(data, lmax):
+        lmaxes.append(lmax)
+        return critical_exponent(data, lmax)
+
+    monkeypatch.setattr(thermo, "critical_exponent", counting)
+    zeros._delta_of.cache_clear()
+    try:
+        scan = abelian.nonvanishing_scan(sym3, grid_n=2, lmax=8)
+        abelian.nonvanishing_scan(sym3, grid_n=3, lmax=8)
+        for _ in range(2):
+            zeros.euler_product(sym3, complex(1.5, 0.0), transfer.TwistSpec.trivial(),
+                                max_word_len=2)
+        assert zeros._delta_of(sym3, 8) == scan["delta"]
+        assert lmaxes == [8, thermo.DEFAULT_LMAX]
+    finally:
+        zeros._delta_of.cache_clear()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, reslab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
