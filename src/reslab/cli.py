@@ -400,18 +400,40 @@ _DISPATCH = {
     "cayley": _run_cayley,
 }
 
-# allowed config keys per experiment (superset of argparse dests)
-_COMMON_KEYS = {"preset", "group", "trace", "out", "threads", "lmax", "seed"}
-_EXTRA_KEYS = {
-    "validate": set(),
-    "delta": {"tol"},
-    "zeta-scan": {"rect", "grid", "theta"},
-    "resonances": {"rect", "theta"},
-    "cover-abelian": {"rect", "moduli"},
-    "equidist": {"covers", "fine", "axis"},
-    "congruence": {"prime", "beta"},
-    "explicit-formula": {"order", "eps", "alpha", "T"},
-    "cayley": {"covers"},
+# Every experiment flag: config key and argparse dest -> (type, help).
+_FLAGS = {
+    "preset": (None, "group preset name"),
+    "trace": (float, "preset trace parameter"),
+    "group": (None, "path to a group JSON file"),
+    "out": (None, "output directory for artifacts"),
+    "threads": (int, "worker threads (fallback: RESLAB_THREADS)"),
+    "lmax": (int, "Bergman truncation order"),
+    "tol": (float, None),
+    "rect": (None, "re_min,re_max,im_min,im_max"),
+    "grid": (None, "n_re,n_im"),
+    "theta": (None, "abelian character, comma separated"),
+    "moduli": (None, "cover moduli, comma separated"),
+    "covers": (None, "growing modulus values"),
+    "fine": (int, None),
+    "axis": (int, None),
+    "prime": (int, None),
+    "beta": (float, None),
+    "order": (int, "convolution order J"),
+    "eps": (float, None),
+    "alpha": (float, None),
+    "T": (float, None),
+}
+_COMMON_FLAGS = ("preset", "trace", "group", "out", "threads", "lmax")
+_EXPERIMENT_FLAGS = {
+    "validate": (),
+    "delta": ("tol",),
+    "zeta-scan": ("rect", "grid", "theta"),
+    "resonances": ("rect", "theta"),
+    "cover-abelian": ("rect", "moduli"),
+    "equidist": ("covers", "fine", "axis"),
+    "congruence": ("prime", "beta"),
+    "explicit-formula": ("order", "eps", "alpha", "T"),
+    "cayley": ("covers",),
 }
 
 
@@ -421,43 +443,9 @@ def _build_parser() -> _Parser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, prog=f"reslab {name}")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--preset", help="group preset name")
-        p.add_argument("--trace", type=float, help="preset trace parameter")
-        p.add_argument("--group", help="path to a group JSON file")
-        p.add_argument("--out", help="output directory for artifacts")
-        p.add_argument("--threads", type=int, help="worker threads "
-                       "(fallback: RESLAB_THREADS)")
-        p.add_argument("--lmax", type=int, help="Bergman truncation order")
-        p.add_argument("--seed", type=int, help="random seed")
-        extra = _EXTRA_KEYS[name]
-        if "tol" in extra:
-            p.add_argument("--tol", type=float)
-        if "rect" in extra:
-            p.add_argument("--rect", help="re_min,re_max,im_min,im_max")
-        if "grid" in extra:
-            p.add_argument("--grid", help="n_re,n_im")
-        if "theta" in extra:
-            p.add_argument("--theta", help="abelian character, comma separated")
-        if "moduli" in extra:
-            p.add_argument("--moduli", help="cover moduli, comma separated")
-        if "covers" in extra:
-            p.add_argument("--covers", help="growing modulus values")
-        if "fine" in extra:
-            p.add_argument("--fine", type=int)
-        if "axis" in extra:
-            p.add_argument("--axis", type=int)
-        if "prime" in extra:
-            p.add_argument("--prime", type=int)
-        if "beta" in extra:
-            p.add_argument("--beta", type=float)
-        if "order" in extra:
-            p.add_argument("--order", type=int, help="convolution order J")
-        if "eps" in extra:
-            p.add_argument("--eps", type=float)
-        if "alpha" in extra:
-            p.add_argument("--alpha", type=float)
-        if "T" in extra:
-            p.add_argument("--T", type=float)
+        for flag in _COMMON_FLAGS + _EXPERIMENT_FLAGS[name]:
+            kind, text = _FLAGS[flag]
+            p.add_argument("--" + flag, type=kind, help=text)
     return parser
 
 
@@ -468,7 +456,7 @@ def _apply_config(args) -> None:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationFailure("config: top level must be an object")
-    allowed = _COMMON_KEYS | _EXTRA_KEYS[args.command] | {"experiment"}
+    allowed = {*_COMMON_FLAGS, *_EXPERIMENT_FLAGS[args.command], "experiment"}
     for key, value in cfg.items():
         if key not in allowed:
             raise ValidationFailure(f"config: unknown key {key!r}")
@@ -524,7 +512,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         _apply_config(args)
-        if args.command in ("zeta-scan", "resonances", "cover-abelian"):
+        if "rect" in _EXPERIMENT_FLAGS[args.command]:
             _require(args, "rect")
         return _DISPATCH[args.command](args)
     except _UsageError as exc:

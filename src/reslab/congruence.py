@@ -5,6 +5,7 @@ trace rigidity on congruence quotients."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,9 +29,6 @@ __all__ = [
     "abelian_average_crosscheck",
     "surjectivity_check",
 ]
-
-BRUTE_FORCE_CAP = 31
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -106,11 +104,11 @@ def reduce_mod_p(obj, p: int, data: Optional[SchottkyData] = None) -> FpMatrix:
     if isinstance(obj, GeodesicClass):
         if data is None:
             raise ValueError("reducing a geodesic class requires the group data")
-        return _word_mod_p(data, obj.word, p)
+        return _word_mod_p(_int_generators(data), obj.word, p)
     if isinstance(obj, (tuple, list)):
         if data is None:
             raise ValueError("reducing a word requires the group data")
-        return _word_mod_p(data, obj, p)
+        return _word_mod_p(_int_generators(data), obj, p)
     raise TypeError(f"cannot reduce {type(obj)!r}")
 
 
@@ -126,14 +124,27 @@ def _int_generators(data: SchottkyData) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _word_mod_p(data: SchottkyData, word: Sequence[int], p: int) -> FpMatrix:
-    gens = _int_generators(data)
+def _word_mod_p(gens: list[tuple[int, int, int, int]], word: Sequence[int],
+                p: int) -> FpMatrix:
     a, b, c, d = 1, 0, 0, 1
     for k in word:
         ga, gb, gc, gd = gens[k - 1]
         a, b, c, d = ((a * ga + b * gc) % p, (a * gb + b * gd) % p,
                       (c * ga + d * gc) % p, (c * gb + d * gd) % p)
     return FpMatrix(a, b, c, d, p)
+
+
+def _reduced_powers(data: SchottkyData, p: int, classes) -> list[FpMatrix]:
+    """C^k mod p for each power class (C, k, ...) of power_classes."""
+    gens = _int_generators(data)
+    out = []
+    for c, k, *_ in classes:
+        g = _word_mod_p(gens, c.word, p)
+        gk = g
+        for _ in range(k - 1):
+            gk = gk.mul(g)
+        out.append(gk)
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -223,7 +234,7 @@ def _decode(code: int) -> ConjClassLabel:
 
 def conjugacy_partition_mod_p(elems: np.ndarray, p: int) -> np.ndarray:
     """Partition the listed SL2(F_p) elements into conjugacy orbits by brute
-    force; the oracle for class_statistics.
+    force; the orbit check of class_statistics(validate=True).
 
     elems: (n, 4) int64 rows (a, b, c, d) with entries in [0, p).  Returns an
     int64 label per element; equal label means conjugate in SL2(F_p).
@@ -277,14 +288,13 @@ def centralizer_size(label: ConjClassLabel, p: int) -> int:
     return group_order(p) // class_size(label, p)
 
 
-def class_statistics(p: int, validate: Optional[bool] = None) -> dict:
-    """Table label -> (class size, centralizer size); for p <= the brute
-    force cap the sizes and the label partition are checked against a full
-    orbit enumeration."""
+def class_statistics(p: int, validate: bool = False) -> dict:
+    """Table label -> (class size, centralizer size).  The class sizes and
+    the class equation are always checked; with validate the label partition
+    is also checked against a brute-force orbit enumeration, which costs
+    O(p^6) and is meant for tests."""
     if p <= 3 or not _is_prime(p):
         raise ValueError("p must be an odd prime > 3")
-    if validate is None:
-        validate = p <= BRUTE_FORCE_CAP
     elems = all_elements(p)
     codes = _classify_codes(elems, p)
     uniq, counts = np.unique(codes, return_counts=True)
@@ -344,14 +354,9 @@ def conj1_check(data: SchottkyData, p: int, beta: float) -> list:
     conjugacy mod p.  Returns the violating pairs."""
     if beta >= 2:
         raise ValueError("beta must be < 2")
-    T = beta * math.log(p)
-    entries = []
-    for c, k, t, ell in power_classes(data, T):
-        g = reduce_mod_p(c, p, data=data)
-        gk = g
-        for _ in range(k - 1):
-            gk = gk.mul(g)
-        entries.append((c, k, t, classify(gk)))
+    classes = power_classes(data, beta * math.log(p))
+    entries = [(c, k, t, classify(gk))
+               for (c, k, t, _), gk in zip(classes, _reduced_powers(data, p, classes))]
     violations = []
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
@@ -364,22 +369,15 @@ def conj1_check(data: SchottkyData, p: int, beta: float) -> list:
     return violations
 
 
-def _pair_sum(items, weight: Callable, paired: Callable, mass: Callable) -> complex:
-    total = 0.0
-    for x in items:
-        wx = weight(x)
-        for y in items:
-            if paired(x, y):
-                total += mass(x, y) * wx * weight(y)
-    return total
-
-
 def character_average(data: SchottkyData, p: int, T: Optional[float] = None,
                       phi0: Optional[Callable] = None, beta: float = 1.5,
                       eps: float = 0.1) -> dict:
     """The averaged square S(p) = sum over irreducibles of |I(rho, T)|^2 in
-    its Dirac form: a double sum over class pairs whose reductions satisfy
-    C^k ~ (C'^{k'})^{-1} mod p, weighted by the centralizer size.
+    its Dirac form: a sum over class pairs whose reductions satisfy
+    C^k ~ (C'^{k'})^{-1} mod p, weighted by the centralizer size.  Grouped by
+    the label L of C^k it is sum_L |Z(L)| * W[L] * W_inv[L], where W[L] sums
+    the weights of the classes with label L and W_inv[L] those of the classes
+    whose inverse has label L.
 
     Also returns the certificate (p-1) * (number of paired class pairs with
     k*length <= T*(1-eps)) as a lower bound."""
@@ -387,33 +385,29 @@ def character_average(data: SchottkyData, p: int, T: Optional[float] = None,
         T = beta * math.log(p)
     if phi0 is None:
         phi0 = lambda x: 1.0 if abs(x) <= 1.0 else 0.0
-    rows = []
-    for c, k, t, ell in power_classes(data, T):
-        g = reduce_mod_p(c, p, data=data)
-        gk = g
-        for _ in range(k - 1):
-            gk = gk.mul(g)
+    cut = T * (1 - eps)
+    W, W_inv = defaultdict(float), defaultdict(float)
+    n, n_inv = defaultdict(int), defaultdict(int)
+    classes = power_classes(data, T)
+    for (c, k, _, ell), gk in zip(classes, _reduced_powers(data, p, classes)):
         lab = classify(gk)
         lab_inv = classify(gk.inv())
         w = (c.length / (1.0 - math.exp(k * c.length))) * phi0(k * c.length / T)
-        rows.append({"class": (c.word, k), "len": ell, "weight": w,
-                     "label": lab, "label_inv": lab_inv})
-    s_value = _pair_sum(
-        rows,
-        weight=lambda r: r["weight"],
-        paired=lambda x, y: x["label"] == y["label_inv"],
-        mass=lambda x, y: centralizer_size(x["label"], p))
-    cut = T * (1 - eps)
-    short = [r for r in rows if r["len"] <= cut]
-    pair_count = sum(1 for x in short for y in short
-                     if x["label"] == y["label_inv"])
+        W[lab] += w
+        W_inv[lab_inv] += w
+        if ell <= cut:
+            n[lab] += 1
+            n_inv[lab_inv] += 1
+    s_value = sum(centralizer_size(lab, p) * w * W_inv[lab]
+                  for lab, w in W.items() if lab in W_inv)
+    pair_count = sum(v * n_inv[lab] for lab, v in n.items() if lab in n_inv)
     mt = trace_multiplicities(data, cut)
     return {
         "p": p, "T": T, "beta": beta, "eps": eps,
         "S": float(s_value),
         "lower_bound": (p - 1) * pair_count,
         "paired_count": pair_count,
-        "classes": len(rows),
+        "classes": len(classes),
         "sum_m2_short": sum(v * v for v in mt.values()),
         "min_nontrivial_dim": (p - 1) // 2,
     }
@@ -455,11 +449,11 @@ def abelian_average_crosscheck(data: SchottkyData, N: int, T: float,
     for alpha in range(N):
         I = sum(w * np.exp(2j * np.pi * alpha * g / N) for g, w in rows)
         direct += abs(I) ** 2
-    dirac = _pair_sum(
-        rows,
-        weight=lambda r: r[1],
-        paired=lambda x, y: x[0] == y[0],
-        mass=lambda x, y: N)
+    # pairs with equal projection, grouped by it: N * sum_g (sum_{proj=g} w)^2
+    mass = defaultdict(float)
+    for g, w in rows:
+        mass[g] += w
+    dirac = N * sum(v * v for v in mass.values())
     return float(direct), float(dirac)
 
 

@@ -119,9 +119,6 @@ class Disc:
         if not self.radius > 0:
             raise ValueError(f"disc radius must be positive, got {self.radius}")
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return abs(z - self.center) < self.radius - margin
-
     def boundary_points(self, n: int) -> np.ndarray:
         ang = 2 * np.pi * np.arange(n) / n
         return self.center + self.radius * np.exp(1j * ang)
@@ -209,16 +206,6 @@ class GeodesicClass:
         if abs(self.trace - t) > 1e-6:
             raise ValueError(f"trace {self.trace} is not an integer")
         return t
-
-    def power_trace(self, k: int) -> float:
-        """Trace of the k-th power via the Chebyshev recurrence."""
-        t0, t1 = 2.0, self.trace
-        for _ in range(k):
-            t0, t1 = t1, self.trace * t1 - t0
-        return t0
-
-    def power_length(self, k: int) -> float:
-        return k * self.length
 
 
 # ---------------------------------------------------------------------------

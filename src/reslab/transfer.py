@@ -28,7 +28,6 @@ from .schottky import word_products
 
 __all__ = [
     "TwistSpec",
-    "TransferMatrix",
     "assemble",
     "assemble_blocks",
     "blocks_to_matrix",
@@ -111,27 +110,6 @@ class TwistSpec:
                 out.append(perm)
             return out + [u.T for u in out]
         raise ValueError(f"unknown twist kind: {self.kind}")
-
-    def character(self, m: int, letters: Sequence[int]) -> complex:
-        """chi_rho(gamma_alpha): trace of the product of letter unitaries."""
-        mats = self.letter_matrices(m)
-        u = np.eye(self.dim, dtype=complex)
-        for k in letters:
-            u = u @ mats[k - 1]
-        return complex(np.trace(u))
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    s: complex
-    twist: TwistSpec
-    lmax: int
-    mat: np.ndarray
-    m: int
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -232,28 +210,23 @@ def blocks_to_matrix(data: sk.SchottkyData, blocks: dict, lmax: int,
 
 
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
-             lmax: int) -> TransferMatrix:
+             lmax: int) -> np.ndarray:
     """Truncated matrix of the twisted operator at s with degrees 0..lmax."""
-    blocks = assemble_blocks(data, s, lmax)
-    mat = blocks_to_matrix(data, blocks, lmax, twist)
-    return TransferMatrix(s=complex(s), twist=twist, lmax=lmax, mat=mat, m=data.m)
+    return blocks_to_matrix(data, assemble_blocks(data, s, lmax), lmax, twist)
 
 
-def fredholm_det(M) -> complex:
+def fredholm_det(M: np.ndarray) -> complex:
     """det(identity - truncated matrix); converges super-exponentially in
     lmax to the Fredholm determinant."""
-    mat = M.mat if isinstance(M, TransferMatrix) else np.asarray(M)
-    return complex(np.linalg.det(np.eye(mat.shape[0]) - mat))
+    return complex(np.linalg.det(np.eye(M.shape[0]) - M))
 
 
-def singular_values(M) -> np.ndarray:
-    mat = M.mat if isinstance(M, TransferMatrix) else np.asarray(M)
-    return np.linalg.svd(mat, compute_uv=False)
+def singular_values(M: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(M, compute_uv=False)
 
 
-def spectral_radius(M) -> float:
-    mat = M.mat if isinstance(M, TransferMatrix) else np.asarray(M)
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
+def spectral_radius(M: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def lefschetz_sum(data: sk.SchottkyData, s: complex, twist: TwistSpec,
@@ -284,5 +257,5 @@ def operator_trace_check(data: sk.SchottkyData, s: complex, twist: TwistSpec,
                          lmax: int, N: int) -> float:
     """|Tr(M^N) - Lefschetz fixed-point sum| for the assembled matrix."""
     M = assemble(data, s, twist, lmax)
-    mn = np.linalg.matrix_power(M.mat, N)
+    mn = np.linalg.matrix_power(M, N)
     return abs(complex(np.trace(mn)) - lefschetz_sum(data, s, twist, N))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -182,6 +183,41 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "delta", "wibble": 3}))
     assert run(["delta", "--config", str(cfg)]) == 2
+
+
+def test_seed_is_not_an_option(tmp_path, capsys):
+    assert run(["delta", "--preset", "cylinder", "--seed", "1"]) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "delta", "preset": "cylinder",
+                               "seed": 1}))
+    assert run(["delta", "--config", str(cfg)]) == 2
+    assert "unknown key 'seed'" in capsys.readouterr().err
+
+
+_COMMON_OPTIONS = ["-h", "--help", "--config", "--preset", "--trace", "--group",
+                   "--out", "--threads", "--lmax"]
+
+
+def test_parser_options_per_subcommand():
+    expected = {
+        "validate": [],
+        "delta": ["--tol"],
+        "zeta-scan": ["--rect", "--grid", "--theta"],
+        "resonances": ["--rect", "--theta"],
+        "cover-abelian": ["--rect", "--moduli"],
+        "equidist": ["--covers", "--fine", "--axis"],
+        "congruence": ["--prime", "--beta"],
+        "explicit-formula": ["--order", "--eps", "--alpha", "--T"],
+        "cayley": ["--covers"],
+    }
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(expected)
+    for name, extra in expected.items():
+        options = [s for a in subparsers.choices[name]._actions
+                   for s in a.option_strings]
+        assert options == _COMMON_OPTIONS + extra, name
 
 
 def test_config_experiment_mismatch(tmp_path, capsys):

@@ -151,7 +151,10 @@ def test_classify_codes_decode_to_classify(p):
                          + [(101, False)])
 def test_class_statistics_closed_form(p, validate):
     """p + 4 classes: the two central ones, four unipotent ones and
-    (p - 3)/2 split and (p - 1)/2 nonsplit tori, with their class sizes."""
+    (p - 3)/2 split and (p - 1)/2 nonsplit tori, with their class sizes.
+    validate None asks for the orbit oracle where it is cheap, p <= 31."""
+    if validate is None:
+        validate = p <= 31
     stats = cg.class_statistics(p, validate=validate)
     assert len(stats) == p + 4
     sizes = {"central": 1, "unipotent": (p * p - 1) // 2,
@@ -176,6 +179,21 @@ def test_class_statistics_never_calls_scalar_classify(monkeypatch):
     monkeypatch.setattr(cg, "classify", counting)
     cg.class_statistics(43)
     assert len(calls) == 0
+
+
+def test_orbit_oracle_runs_only_on_request(monkeypatch):
+    calls = []
+    brute = cg.conjugacy_partition_mod_p
+
+    def counting(elems, p):
+        calls.append(p)
+        return brute(elems, p)
+
+    monkeypatch.setattr(cg, "conjugacy_partition_mod_p", counting)
+    cg.class_statistics(31)
+    assert calls == []
+    cg.class_statistics(31, validate=True)
+    assert calls == [31]
 
 
 def test_trace_multiplicities_partition(pair):
@@ -248,6 +266,56 @@ def test_dirac_form_matches_abelian_oracle(pair):
     for N in (2, 3, 6):
         direct, dirac = cg.abelian_average_crosscheck(pair, N, 7.0)
         assert abs(direct - dirac) < 1e-10 * max(1.0, abs(direct))
+
+
+def _pair_sum(items, weight, paired, mass):
+    """Reference Dirac form: the double loop over every pair of rows."""
+    total = 0.0
+    for x in items:
+        wx = weight(x)
+        for y in items:
+            if paired(x, y):
+                total += mass(x, y) * wx * weight(y)
+    return total
+
+
+def _weight(c, k, T):
+    phi0 = 1.0 if k * c.length / T <= 1.0 else 0.0
+    return c.length / (1.0 - math.exp(k * c.length)) * phi0
+
+
+PRIMES_TO_31_AND_101 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 101]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_31_AND_101)
+@pytest.mark.parametrize("name", ["sl2z-pair", "sl2z-crossed"])
+def test_grouped_pair_sums_match_double_loop(name, p):
+    data = sk.preset(name)
+    beta, eps = 1.5, 0.1
+    T = beta * math.log(p)
+    rows = []  # (length, weight, label of C^k, label of its inverse)
+    for c, k, _, ell in cg.power_classes(data, T):
+        g = cg.reduce_mod_p(c, p, data=data)
+        gk = g
+        for _ in range(k - 1):
+            gk = gk.mul(g)
+        rows.append((ell, _weight(c, k, T), cg.classify(gk), cg.classify(gk.inv())))
+    paired = lambda x, y: x[2] == y[3]
+    S = _pair_sum(rows, lambda r: r[1], paired,
+                  lambda x, y: cg.centralizer_size(x[2], p))
+    short = [r for r in rows if r[0] <= T * (1 - eps)]
+    count = sum(1 for x in short for y in short if paired(x, y))
+    rep = cg.character_average(data, p, beta=beta, eps=eps)
+    assert abs(rep["S"] - S) <= 1e-12 * abs(S)
+    assert rep["paired_count"] == count
+    assert rep["lower_bound"] == (p - 1) * count
+
+    proj = [((k * c.homology[0]) % p, _weight(c, k, T))
+            for c, k, _, _ in cg.power_classes(data, T)]
+    dirac = _pair_sum(proj, lambda r: r[1], lambda x, y: x[0] == y[0],
+                      lambda x, y: p)
+    _, grouped = cg.abelian_average_crosscheck(data, p, T)
+    assert abs(grouped - dirac) <= 1e-12 * abs(dirac)
 
 
 def test_surjectivity(pair):

@@ -75,15 +75,15 @@ def test_lmax_checked_before_data():
 
 def test_trivial_equals_zero_character(sym3):
     s = complex(0.7, 0.4)
-    a = transfer.assemble(sym3, s, TwistSpec.trivial(), 10).mat
-    b = transfer.assemble(sym3, s, TwistSpec.abelian([0.0, 0.0]), 10).mat
+    a = transfer.assemble(sym3, s, TwistSpec.trivial(), 10)
+    b = transfer.assemble(sym3, s, TwistSpec.abelian([0.0, 0.0]), 10)
     assert np.array_equal(a, b)
 
 
 def test_integer_character_equals_trivial(sym3):
     s = complex(0.7, -0.2)
-    a = transfer.assemble(sym3, s, TwistSpec.trivial(), 10).mat
-    b = transfer.assemble(sym3, s, TwistSpec.abelian([1.0, 2.0]), 10).mat
+    a = transfer.assemble(sym3, s, TwistSpec.trivial(), 10)
+    b = transfer.assemble(sym3, s, TwistSpec.abelian([1.0, 2.0]), 10)
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -221,8 +221,8 @@ def test_unitary_twist_radius_bound(sym3):
 
 def test_theta_periodicity(sym3):
     s = complex(0.6, 0.1)
-    a = transfer.assemble(sym3, s, TwistSpec.abelian([0.3, 0.4]), 8).mat
-    b = transfer.assemble(sym3, s, TwistSpec.abelian([1.3, -0.6]), 8).mat
+    a = transfer.assemble(sym3, s, TwistSpec.abelian([0.3, 0.4]), 8)
+    b = transfer.assemble(sym3, s, TwistSpec.abelian([1.3, -0.6]), 8)
     assert np.allclose(a, b, atol=1e-13)
 
 
