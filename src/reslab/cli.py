@@ -50,10 +50,19 @@ class NonConvergence(Exception):
 
 
 def _threads(value: Optional[int]) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("RESLAB_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
+    """Worker threads from --threads, else RESLAB_THREADS, else 1; a count
+    below 1 or an unparsable one is a validation failure."""
+    label = "--threads"
+    if value is None:
+        label = "RESLAB_THREADS"
+        value = os.environ.get("RESLAB_THREADS", "").strip() or 1
+    try:
+        n = int(value)
+    except ValueError:
+        raise ValidationFailure(f"cannot parse {label}: {value!r}")
+    if n < 1:
+        raise ValidationFailure(f"{label} must be >= 1, got {n}")
+    return n
 
 
 def _parse_floats(text: str, n: Optional[int] = None, label: str = "value"):
@@ -118,7 +127,7 @@ def _load_group(args, check: bool = True) -> sk.SchottkyData:
     name = getattr(args, "preset", None) or "symmetric3"
     kwargs = {}
     if getattr(args, "trace", None) is not None:
-        kwargs["t"] = float(args.trace)
+        kwargs["t"] = args.trace
     try:
         return sk.preset(name, **kwargs)
     except ValueError as exc:
@@ -184,6 +193,7 @@ def _run_zeta_scan(args) -> int:
     if len(grid) != 2 or min(grid) < 2:
         raise ValidationFailure("zeta-scan: grid must be n_re,n_im, at least 2x2")
     nre, nim = grid
+    threads = _threads(args.threads)
     det = zeros.make_det(data, twist, lmax)
     res = np.linspace(rect[0], rect[1], nre)
     ims = np.linspace(rect[2], rect[3], nim)
@@ -191,7 +201,7 @@ def _run_zeta_scan(args) -> int:
     def scan_row(im):
         return [det(complex(re, im)) for re in res]
 
-    with ThreadPoolExecutor(max_workers=_threads(args.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(scan_row, ims))
     out_rows = []
     for im, row in zip(ims, rows):
@@ -450,6 +460,8 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config(args) -> None:
+    """Fill unset flags from the JSON config, each value converted by its
+    flag's type as argparse converts the flag's text."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
@@ -466,6 +478,12 @@ def _apply_config(args) -> None:
                     f"config: experiment {value!r} does not match "
                     f"subcommand {args.command!r}")
             continue
+        kind = _FLAGS[key][0]
+        if kind is not None and value is not None:
+            try:
+                value = kind(str(value))
+            except ValueError:
+                raise ValidationFailure(f"config: cannot parse {key}: {value!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 

@@ -8,8 +8,14 @@ Matrix coefficients are extracted by sampling on a circle inside the target
 disc and taking a discrete Fourier transform, which is spectrally accurate
 because every summand is holomorphic on a strictly larger disc.  Everything
 in a block that does not depend on s (sample points, log gamma', basis values
-at the images, scales) is built once per (group, lmax) and cached, so a new s
-costs one exponential, one batched FFT per target disc and two scalings.
+at the images, scales) is built once per (group, lmax) and cached.
+
+`assemble` is the one engine for rank-one twists (trivial and abelian
+characters): a new s costs one exponential and one batched FFT per run of
+target discs, computed in this thread's work buffers and written straight
+into the matrix, and a character then multiplies each source disc's column
+slab by one phase.  Higher-dimensional twists place the blocks of
+`assemble_blocks` as Kronecker products (`blocks_to_matrix`).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from typing import Optional, Sequence
@@ -39,6 +46,11 @@ __all__ = [
 ]
 
 _SAMPLE_FRACTION = 0.75
+# Upper bound on the samples of one exponential and FFT run, in bytes; a
+# run always holds at least one target disc.
+_RUN_BYTES = 256 * 1024
+
+_work = threading.local()
 
 
 @dataclass(frozen=True)
@@ -126,8 +138,12 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
     - the sample radius to the powers 0..lmax, per target disc;
     - the output scale sqrt(pi/(l+1)) r_i^(l+1), per target disc;
 
-    plus the (target, source) pairs themselves.  gamma is the generator of
-    the connecting letter inv(source)."""
+    plus the (target, source) pairs themselves, and the runs of `assemble`:
+    consecutive target discs whose samples fit in _RUN_BYTES, each as (pair
+    rows, target and source index of each pair, radius powers and scales per
+    pair).  gamma is the generator of the connecting letter inv(source)."""
+    if lmax < 2:
+        raise ValueError("lmax must be >= 2")
     m = data.m
     nd = 2 * m
     nb = lmax + 1
@@ -165,16 +181,22 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
             pairs.append((i, j))
     for arr in (logd, basis, rho_pow, scale):
         arr.setflags(write=False)
-    return logd, basis, rho_pow, scale, tuple(pairs)
+    per = nd - 1
+    group_bytes = per * nb * K * basis.itemsize
+    discs_per_run = max(1, _RUN_BYTES // group_bytes)
+    runs = []
+    for first in range(0, nd, discs_per_run):
+        rows = slice(first * per, min(nd, first + discs_per_run) * per)
+        tgt, src = (np.array(ix) for ix in zip(*pairs[rows]))
+        runs.append((rows, tgt, src, rho_pow[tgt][:, None, :], scale[tgt][:, None, :]))
+    return logd, basis, rho_pow, scale, tuple(pairs), tuple(runs)
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
     """Scalar coefficient blocks keyed by (target disc, source disc),
     0-based; missing keys are structurally zero.  Block (i, j) has rows
     indexed by target degree and columns by source degree."""
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
-    logd, basis, rho_pow, scale, pairs = _sample_tables(data, lmax)
+    logd, basis, rho_pow, scale, pairs, _ = _sample_tables(data, lmax)
     nb = lmax + 1
     K = 4 * nb
     per = 2 * data.m - 1
@@ -209,10 +231,55 @@ def blocks_to_matrix(data: sk.SchottkyData, blocks: dict, lmax: int,
     return out
 
 
+def _slab_phases(twist: TwistSpec, m: int, nb: int) -> np.ndarray:
+    """Column phases of a rank-one twist: every column of source disc j
+    carries the scalar of its connecting letter inv(j), which for a
+    character is conj(e(theta_j)) for j < m and e(theta_{j-m}) for j >= m,
+    with e(t) = exp(2 pi i t)."""
+    letters = [u[0, 0] for u in twist.letter_matrices(m)]
+    return np.repeat(letters[m:] + letters[:m], nb)
+
+
+def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two flat work buffers, grown to at least size samples.
+    Pool threads share det closures, so the buffers cannot be shared."""
+    bufs = getattr(_work, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        bufs = _work.bufs = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    return bufs
+
+
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
              lmax: int) -> np.ndarray:
-    """Truncated matrix of the twisted operator at s with degrees 0..lmax."""
-    return blocks_to_matrix(data, assemble_blocks(data, s, lmax), lmax, twist)
+    """Truncated matrix of the twisted operator at s with degrees 0..lmax.
+
+    A rank-one twist is assembled run by run with the operations of
+    assemble_blocks, written through a (target, source, source degree,
+    target degree) view of the output, then phased column slab by slab."""
+    if twist.dim != 1:
+        return blocks_to_matrix(data, assemble_blocks(data, s, lmax), lmax, twist)
+    logd, basis, _, _, _, runs = _sample_tables(data, lmax)
+    nd = 2 * data.m
+    nb = lmax + 1
+    K = 4 * nb
+    out = np.zeros((nd, nb, nd, nb), dtype=complex)
+    placed = out.transpose(0, 2, 3, 1)
+    prod, spec = _work_buffers(len(runs[0][1]) * nb * K)  # the first run is the longest
+    for rows, tgt, src, rp, sc in runs:
+        n = len(tgt)
+        dpow = np.multiply(s, logd[rows], out=spec[:n * K].reshape(n, K))
+        np.exp(dpow, out=dpow)
+        vals = np.multiply(dpow[:, None, :], basis[rows],
+                           out=prod[:n * nb * K].reshape(n, nb, K))
+        spectrum = np.fft.fft(vals, axis=2, out=spec[:n * nb * K].reshape(n, nb, K))
+        taylor = np.divide(spectrum[:, :, :nb], K, out=prod[:n * nb * nb].reshape(n, nb, nb))
+        taylor /= rp
+        taylor *= sc
+        placed[tgt, src] = taylor
+    M = out.reshape(nd * nb, nd * nb)
+    if twist.kind != "trivial":
+        M *= _slab_phases(twist, data.m, nb)
+    return M
 
 
 def fredholm_det(M: np.ndarray) -> complex:

@@ -7,6 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,13 +94,35 @@ def euler_product(data: sk.SchottkyData, s: complex, twist: TwistSpec,
 
 
 def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callable:
-    """Cached evaluator of s -> det(I - L_{rho,s}) at the given truncation."""
+    """Cached evaluator of s -> det(I - L_{rho,s}) at the given truncation.
+
+    A regular twist of G = Z/N_1 x ... x Z/N_m splits into the characters
+    theta = alpha/N, so its determinant is the product of theirs: one
+    untwisted matrix per s, then one LU per character."""
     cache: dict[complex, complex] = {}
+    if twist.kind == "regular":
+        if len(twist.moduli) != data.m:
+            raise ValueError(f"moduli must have dimension m={data.m}")
+        trivial = TwistSpec.trivial()
+        phases = [transfer._slab_phases(
+                      TwistSpec.abelian([a / n for a, n in zip(alpha, twist.moduli)]),
+                      data.m, lmax + 1)
+                  for alpha in product(*[range(n) for n in twist.moduli])]
+
+        def value(s: complex) -> complex:
+            base = transfer.assemble(data, s, trivial, lmax)
+            out = 1.0 + 0.0j
+            for p in phases:
+                out *= transfer.fredholm_det(base * p)
+            return out
+    else:
+        def value(s: complex) -> complex:
+            return transfer.fredholm_det(transfer.assemble(data, s, twist, lmax))
 
     def det(s: complex) -> complex:
         s = complex(s)
         if s not in cache:
-            cache[s] = transfer.fredholm_det(transfer.assemble(data, s, twist, lmax))
+            cache[s] = value(s)
         return cache[s]
 
     return det

@@ -251,6 +251,41 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert (sub / "zeta_scan.csv").exists()
 
 
+@pytest.mark.parametrize("argv, cfg", [
+    (["delta"], {"experiment": "delta", "trace": "abc"}),
+    (["zeta-scan", "--preset", "cylinder", "--rect", "1,2,0,1", "--grid", "2,2"],
+     {"experiment": "zeta-scan", "threads": "x"}),
+], ids=["trace_abc", "threads_x"])
+def test_config_value_of_wrong_type_is_validation_failure(argv, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(argv + ["--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "validation failure" in capsys.readouterr().err
+
+
+def test_config_values_take_their_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "delta", "preset": "symmetric3",
+                               "trace": "6", "lmax": "16"}))
+    assert run(["delta", "--config", str(cfg)]) == 0
+    assert abs(float(capsys.readouterr().out) - 0.2515811641598957) < 1e-8
+
+
+_ZETA_SCAN = ["zeta-scan", "--preset", "cylinder", "--rect", "1,2,0,1", "--grid", "2,2"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(threads, tmp_path, capsys):
+    assert run(_ZETA_SCAN + ["--threads", threads, "--out", str(tmp_path)]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_threads_env_unparsable_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RESLAB_THREADS", "abc")
+    assert run(_ZETA_SCAN + ["--out", str(tmp_path)]) == 2
+    assert "cannot parse RESLAB_THREADS" in capsys.readouterr().err
+
+
 def test_cayley_outputs(tmp_path, capsys):
     code = run(["cayley", "--covers", "64,128,256", "--out", str(tmp_path)])
     assert code == 0

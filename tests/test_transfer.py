@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from reslab import schottky as sk
-from reslab import thermo, transfer
+from reslab import thermo, transfer, zeros
 from reslab.transfer import TwistSpec
 
 
@@ -66,6 +68,76 @@ def test_batched_blocks_match_scalar_reference():
                 assert list(blocks) == list(expected)
                 for key, b in expected.items():
                     assert np.array_equal(blocks[key], b), (name, lmax, s, key)
+
+
+_PRESETS = ("cylinder", "symmetric3", "sl2z-pair", "sl2z-crossed")
+
+
+def _character(data):
+    return TwistSpec.abelian([0.137 * (k + 1) for k in range(data.m)])
+
+
+def test_engine_matches_kronecker_placement_bit_for_bit():
+    """The rank-one engine gives exactly the matrix that Kronecker placement
+    of assemble_blocks gives, for the trivial twist and a character."""
+    for name in _PRESETS:
+        data = sk.preset(name)
+        for lmax in (2, 4, 12, 16, 32):
+            for s in (0.45, complex(0.3, 1.7), complex(0.6, 4.0)):
+                blocks = transfer.assemble_blocks(data, s, lmax)
+                for twist in (TwistSpec.trivial(), _character(data)):
+                    expected = transfer.blocks_to_matrix(data, blocks, lmax, twist)
+                    got = transfer.assemble(data, s, twist, lmax)
+                    assert np.array_equal(got, expected), (name, lmax, s, twist.kind)
+
+
+def test_regular_det_is_the_product_of_character_dets(sym3):
+    """make_det's regular determinant (one LU per character) agrees with the
+    determinant of the Kronecker-placed regular matrix."""
+    lmax = 12
+    for moduli in ((2, 1), (3, 1), (2, 2), (4, 1)):
+        twist = TwistSpec.regular(moduli)
+        det = zeros.make_det(sym3, twist, lmax)
+        for s in (complex(0.9, 0.3), complex(0.25, -1.1), 0.6):
+            kron = transfer.fredholm_det(transfer.assemble(sym3, s, twist, lmax))
+            assert abs(det(s) - kron) / abs(kron) < 1e-12, (moduli, s)
+    with pytest.raises(ValueError, match="moduli must have dimension"):
+        zeros.make_det(sym3, TwistSpec.regular((2,)), lmax)
+
+
+def test_threads_assembling_at_once_match_a_serial_run():
+    """Each thread works in its own buffers: eight threads assembling
+    different presets and sizes at once give the serial matrices exactly."""
+    jobs = [(name, lmax, s) for name in _PRESETS for lmax in (12, 32)
+            for s in (complex(0.4, 2.0), 0.7)]
+
+    def build(job):
+        name, lmax, s = job
+        data = sk.preset(name)
+        return [transfer.assemble(data, s, tw, lmax)
+                for tw in (TwistSpec.trivial(), _character(data))]
+
+    transfer._sample_tables.cache_clear()
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        threaded = list(pool.map(build, jobs * 2))
+    serial = [build(job) for job in jobs] * 2
+    for a, b in zip(threaded, serial):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_assembly_peak_memory_is_bounded_by_the_matrix():
+    """A warmed assembly allocates little beyond the matrix it returns: the
+    FFT runs in reused per-thread buffers, not in fresh arrays."""
+    data = sk.preset("sl2z-crossed")
+    s = complex(0.5, 2.0)
+    transfer.assemble(data, s, TwistSpec.trivial(), 32)
+    tracemalloc.start()
+    try:
+        M = transfer.assemble(data, s, TwistSpec.trivial(), 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * M.nbytes, peak / M.nbytes
 
 
 def test_lmax_checked_before_data():
