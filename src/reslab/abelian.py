@@ -253,6 +253,24 @@ def _ks_distance(emp: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(ce - cr)))
 
 
+def _density_exponent(ref: np.ndarray, delta: float) -> float:
+    """Slope of log density against log(delta - u) for the reference samples
+    u with 1e-4 < delta - u < 0.05, over 7 bins between the 5% and 95%
+    quantiles.  The bins are cut by sorted index: each edge lies midway
+    between two adjacent samples and each count is a difference of indices,
+    so no sample sits on an edge and a rounding-level change of the samples
+    moves the slope only at rounding level."""
+    du = np.sort(delta - ref)
+    du = du[(du > 1e-4) & (du < 0.05)]
+    if len(du) <= 16:
+        return float("nan")
+    idx = np.rint(np.linspace(0.05, 0.95, 8) * (len(du) - 1)).astype(int)
+    edges = (du[idx] + du[idx + 1]) / 2
+    dens_x = np.log((edges[:-1] + edges[1:]) / 2)
+    dens_y = np.log(np.diff(idx) / np.diff(edges))
+    return float(np.polyfit(dens_x, dens_y, 1)[0])
+
+
 def equidistribution_experiment(data: SchottkyData,
                                 moduli_sequence: Sequence[Sequence[int]],
                                 window: Optional[tuple[float, float]] = None,
@@ -292,20 +310,7 @@ def equidistribution_experiment(data: SchottkyData,
         h, _ = np.histogram(emp, bins=edges)
         hists.append(tuple((float(edges[i]), float(edges[i + 1]), int(h[i]))
                            for i in range(bins)))
-    # density exponent of the reference near delta: log dens vs log(delta-u)
-    du = delta - ref
-    du = du[(du > 1e-4) & (du < 0.05)]
-    if len(du) > 16:
-        qs = np.quantile(du, np.linspace(0.05, 0.95, 8))
-        dens_x, dens_y = [], []
-        for a, b in zip(qs[:-1], qs[1:]):
-            cnt = np.sum((du >= a) & (du < b))
-            if cnt > 0:
-                dens_x.append(math.log((a + b) / 2))
-                dens_y.append(math.log(cnt / (b - a)))
-        exponent = float(np.polyfit(dens_x, dens_y, 1)[0])
-    else:
-        exponent = float("nan")
+    exponent = _density_exponent(ref, delta)
     cdf = tuple((float(v), float((i + 1) / len(ref))) for i, v in enumerate(ref))
     return EquidistributionResult(
         moduli_sequence=tuple(tuple(int(n) for n in m) for m in moduli_sequence),

@@ -11,11 +11,12 @@ in a block that does not depend on s (sample points, log gamma', basis values
 at the images, scales) is built once per (group, lmax) and cached.
 
 `assemble` is the one engine for rank-one twists (trivial and abelian
-characters): a new s costs one exponential and one batched FFT per run of
-target discs, computed in this thread's work buffers and written straight
-into the matrix, and a character then multiplies each source disc's column
-slab by one phase.  Higher-dimensional twists place the blocks of
-`assemble_blocks` as Kronecker products (`blocks_to_matrix`).
+characters): a new s costs one exponential and one matrix product with the
+folded truncated DFT per run of target discs, computed in this thread's
+work buffers and written straight into the matrix, and a character then
+multiplies each source disc's column slab by one phase.  Higher-dimensional
+twists place the blocks of `assemble_blocks` as Kronecker products
+(`blocks_to_matrix`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 _SAMPLE_FRACTION = 0.75
-# Upper bound on the samples of one exponential and FFT run, in bytes; a
+# Upper bound on the samples of one exponential and DFT run, in bytes; a
 # run always holds at least one target disc.
 _RUN_BYTES = 256 * 1024
 
@@ -124,6 +125,19 @@ class TwistSpec:
         raise ValueError(f"unknown twist kind: {self.kind}")
 
 
+def _roots_of_unity(K: int) -> np.ndarray:
+    """exp(2 pi i k / K) for k < K, K a multiple of 4.  Every entry is the
+    cosine and sine of an angle in [0, pi/4], moved by the symmetries of the
+    square, so no large angle is rounded before its cosine is taken."""
+    q = K // 4
+    j = np.arange(q)
+    a = 2 * np.pi * np.minimum(j, q - j) / K
+    near = 2 * j <= q
+    c, s = np.cos(a), np.sin(a)
+    quarter = np.where(near, c, s) + 1j * np.where(near, s, c)
+    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+
+
 @functools.lru_cache(maxsize=32)
 def _sample_tables(data: sk.SchottkyData, lmax: int):
     """The s-independent parts of every admissible block, built once per
@@ -132,16 +146,26 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
     i*(2m-1) .. (i+1)*(2m-1)-1):
 
     - log gamma'(z) at the K = 4(lmax+1) sample points z on the circle of
-      radius 0.75 r_i about the target centre, shape (pairs, K);
+      radius rho_i = 0.75 r_i about the target centre, shape (pairs, K);
     - the source-disc basis functions at the images gamma(z), shape
       (pairs, lmax+1, K);
-    - the sample radius to the powers 0..lmax, per target disc;
-    - the output scale sqrt(pi/(l+1)) r_i^(l+1), per target disc;
+    - per target disc, the folded truncated DFT fold[i], shape
+      (K, lmax+1): one matrix product with fold[i] takes samples on the
+      circle of disc i to output coefficients.  With circle[k] =
+      exp(2 pi i k / K), fold[i][k, l] is
+      conj(circle)[(k l) mod K] * sqrt(pi/(l+1)) r_i^(l+1) / (K rho_i^l):
+      the twiddle of DFT output l, the 1/K of the DFT, the Taylor
+      coefficient's radius rho_i^-l and the output scale in one factor.
+      The twiddles are indexed by the exact residue (k l) mod K, so no
+      large angle enters an exponential.  fold[i] depends on disc i only
+      through r_i, so discs of one radius share one read-only table;
 
     plus the (target, source) pairs themselves, and the runs of `assemble`:
     consecutive target discs whose samples fit in _RUN_BYTES, each as (pair
-    rows, target and source index of each pair, radius powers and scales per
-    pair).  gamma is the generator of the connecting letter inv(source)."""
+    rows, target and source index of each pair, and the tables of its
+    targets stacked, or the one table they share with a leading axis of 1,
+    so that a run whose targets share a table is a single product).  gamma
+    is the generator of the connecting letter inv(source)."""
     if lmax < 2:
         raise ValueError("lmax must be >= 2")
     m = data.m
@@ -151,17 +175,18 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
     npairs = nd * (nd - 1)
     logd = np.empty((npairs, K), dtype=complex)
     basis = np.empty((npairs, nb, K), dtype=complex)
-    rho_pow = np.empty((nd, nb))
-    scale = np.empty((nd, nb))
+    by_radius = {}
     pairs = []
     ell = np.arange(nb)
-    circle = np.exp(2j * np.pi * np.arange(K) / K)
+    circle = _roots_of_unity(K)
+    twiddle = circle.conj()[np.outer(np.arange(K), ell) % K]
     for i in range(nd):
         tgt = data.discs[i]
         rho = _SAMPLE_FRACTION * tgt.radius
         z = tgt.center + rho * circle
-        rho_pow[i] = rho ** ell
-        scale[i] = np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1)
+        if tgt.radius not in by_radius:
+            scale = np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1)
+            by_radius[tgt.radius] = twiddle * (scale / (K * rho ** ell))
         for j in range(nd):
             a0 = (j + m) % nd  # 0-based connecting letter, inv(j)
             if a0 == i:
@@ -179,34 +204,39 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
             basis[k] = ((np.sqrt((ell[:, None] + 1) / np.pi) / src.radius)
                         * u[None, :] ** ell[:, None])
             pairs.append((i, j))
-    for arr in (logd, basis, rho_pow, scale):
+    for arr in (logd, basis, *by_radius.values()):
         arr.setflags(write=False)
+    fold = tuple(by_radius[d.radius] for d in data.discs)
     per = nd - 1
     group_bytes = per * nb * K * basis.itemsize
     discs_per_run = max(1, _RUN_BYTES // group_bytes)
     runs = []
     for first in range(0, nd, discs_per_run):
-        rows = slice(first * per, min(nd, first + discs_per_run) * per)
+        last = min(nd, first + discs_per_run)
+        rows = slice(first * per, last * per)
         tgt, src = (np.array(ix) for ix in zip(*pairs[rows]))
-        runs.append((rows, tgt, src, rho_pow[tgt][:, None, :], scale[tgt][:, None, :]))
-    return logd, basis, rho_pow, scale, tuple(pairs), tuple(runs)
+        tables = fold[first:last]
+        if all(f is tables[0] for f in tables):
+            stacked = tables[0][None]
+        else:
+            stacked = np.stack(tables)
+            stacked.setflags(write=False)
+        runs.append((rows, tgt, src, stacked))
+    return logd, basis, fold, tuple(pairs), tuple(runs)
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
     """Scalar coefficient blocks keyed by (target disc, source disc),
     0-based; missing keys are structurally zero.  Block (i, j) has rows
     indexed by target degree and columns by source degree."""
-    logd, basis, rho_pow, scale, pairs, _ = _sample_tables(data, lmax)
+    logd, basis, fold, pairs, _ = _sample_tables(data, lmax)
     nb = lmax + 1
-    K = 4 * nb
     per = 2 * data.m - 1
     blocks = {}
     for i in range(2 * data.m):
         rows = slice(i * per, (i + 1) * per)
         vals = np.exp(s * logd[rows])[:, None, :] * basis[rows]
-        taylor = np.fft.fft(vals, axis=2)[:, :, :nb] / K
-        taylor /= rho_pow[i]
-        coeff = taylor * scale[i]
+        coeff = (vals.reshape(per * nb, -1) @ fold[i]).reshape(per, nb, nb)
         for key, c in zip(pairs[rows], coeff):
             blocks[key] = c.T
     return blocks
@@ -254,28 +284,27 @@ def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
     """Truncated matrix of the twisted operator at s with degrees 0..lmax.
 
     A rank-one twist is assembled run by run with the operations of
-    assemble_blocks, written through a (target, source, source degree,
+    assemble_blocks (one exponential, then one product with the folded DFT
+    of the run's targets), written through a (target, source, source degree,
     target degree) view of the output, then phased column slab by slab."""
     if twist.dim != 1:
         return blocks_to_matrix(data, assemble_blocks(data, s, lmax), lmax, twist)
-    logd, basis, _, _, _, runs = _sample_tables(data, lmax)
+    logd, basis, _, _, runs = _sample_tables(data, lmax)
     nd = 2 * data.m
     nb = lmax + 1
     K = 4 * nb
     out = np.zeros((nd, nb, nd, nb), dtype=complex)
     placed = out.transpose(0, 2, 3, 1)
     prod, spec = _work_buffers(len(runs[0][1]) * nb * K)  # the first run is the longest
-    for rows, tgt, src, rp, sc in runs:
+    for rows, tgt, src, fold in runs:
         n = len(tgt)
         dpow = np.multiply(s, logd[rows], out=spec[:n * K].reshape(n, K))
         np.exp(dpow, out=dpow)
         vals = np.multiply(dpow[:, None, :], basis[rows],
                            out=prod[:n * nb * K].reshape(n, nb, K))
-        spectrum = np.fft.fft(vals, axis=2, out=spec[:n * nb * K].reshape(n, nb, K))
-        taylor = np.divide(spectrum[:, :, :nb], K, out=prod[:n * nb * nb].reshape(n, nb, nb))
-        taylor /= rp
-        taylor *= sc
-        placed[tgt, src] = taylor
+        taylor = np.matmul(vals.reshape(len(fold), -1, K), fold,
+                           out=spec[:n * nb * nb].reshape(len(fold), -1, nb))
+        placed[tgt, src] = taylor.reshape(n, nb, nb)
     M = out.reshape(nd * nb, nd * nb)
     if twist.kind != "trivial":
         M *= _slab_phases(twist, data.m, nb)

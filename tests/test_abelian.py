@@ -157,6 +157,18 @@ def test_equidistribution_trend_small(sym3):
 
 
 def test_reference_density_exponent(sym3):
+    """The exponent lies in its band and does not jump when every reference
+    sample moves by one ulp: no sample sits on a bin edge.  Moving adjacent
+    samples in opposite directions splits or merges the near-equal pairs
+    that theta and 1 - theta give, which moved quantile-valued edges across
+    a sample."""
     res = abelian.equidistribution_experiment(
         sym3, [(8, 1)], lmax=10, fine=256)
     assert -0.8 < res.density_exponent < -0.2
+    ref = np.array([u for u, _ in res.reference_cdf])
+    delta = zeros._delta_of(sym3, 12)
+    assert abelian._density_exponent(ref, delta) == res.density_exponent
+    alternate = np.where(np.arange(len(ref)) % 2 == 0, np.inf, -np.inf)
+    for way in (np.inf, -np.inf, alternate, -alternate):
+        moved = abelian._density_exponent(np.nextafter(ref, way), delta)
+        assert abs(moved - res.density_exponent) <= 1e-12 * abs(res.density_exponent)
