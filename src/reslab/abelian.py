@@ -80,13 +80,13 @@ def cover_zeta_zeros(data: SchottkyData, quotient: AbelianQuotient,
 
 
 def _theta_det_factory(data: SchottkyData, s: complex, lmax: int) -> Callable:
-    """theta -> det(I - L_{s,theta}) reusing the untwisted matrix at fixed s:
-    the character multiplies each source disc's column slab by its phase."""
+    """theta -> det(I - L_{s,theta}) reusing the untwisted matrix at fixed s,
+    lifted by the character's letters."""
     base = transfer.assemble(data, s, TwistSpec.trivial(), lmax)
 
     def det(theta) -> complex:
-        phases = transfer._slab_phases(TwistSpec.abelian(theta), data.m, lmax + 1)
-        return transfer.fredholm_det(base * phases)
+        letters = TwistSpec.abelian(theta).letter_matrices(data.m)
+        return transfer.fredholm_det(transfer._lift(base, letters))
 
     return det
 

@@ -117,7 +117,11 @@ def _load_group(args, check: bool = True) -> sk.SchottkyData:
     schottky.validate unless check is False; presets are not re-checked."""
     if getattr(args, "group", None):
         with open(args.group) as fh:
-            data = sk.load_group_json(json.load(fh))
+            obj = json.load(fh)
+        try:
+            data = sk.load_group_json(obj)
+        except ValueError as exc:
+            raise ValidationFailure(f"group file {args.group}: {exc}")
         if check:
             failed = [c.name for c in sk.validate(data).checks if not c.passed]
             if failed:

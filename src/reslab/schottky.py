@@ -147,7 +147,7 @@ class SchottkyData:
         return range(1, 2 * self.m + 1)
 
     def inverse_letter(self, k: int) -> int:
-        return k + self.m if k <= self.m else k - self.m
+        return _inv(k, self.m)
 
     def gen(self, k: int) -> MoebiusMap:
         """Generator for 1-based letter k (inverse maps for k > m)."""
@@ -160,10 +160,6 @@ class SchottkyData:
     def gens_array(self) -> np.ndarray:
         """(2m, 2, 2) float array indexed by letter-1."""
         return np.array([self.gen(k).as_array() for k in self.letters])
-
-    def target_disc(self, k: int) -> int:
-        """1-based disc index that letter k maps everything (else) into."""
-        return k + self.m if k <= self.m else k - self.m
 
 
 class Word(tuple):
@@ -178,12 +174,7 @@ class Word(tuple):
         for i in range(len(w) - 1):
             if w[i + 1] == _inv(w[i], m):
                 raise ValueError(f"inadmissible word: letter {w[i]} followed by its inverse")
-        w.m = m
         return w
-
-    @property
-    def is_cyclically_reduced(self) -> bool:
-        return len(self) <= 1 or self[0] != _inv(self[-1], self.m)
 
 
 def _inv(k: int, m: int) -> int:

@@ -10,13 +10,12 @@ because every summand is holomorphic on a strictly larger disc.  Everything
 in a block that does not depend on s (sample points, log gamma', basis values
 at the images, scales) is built once per (group, lmax) and cached.
 
-`assemble` is the one engine for rank-one twists (trivial and abelian
-characters): a new s costs one exponential and one matrix product with the
-folded truncated DFT per run of target discs, computed in this thread's
-work buffers and written straight into the matrix, and a character then
-multiplies each source disc's column slab by one phase.  Higher-dimensional
-twists place the blocks of `assemble_blocks` as Kronecker products
-(`blocks_to_matrix`).
+`assemble` builds the untwisted matrix in one engine: a new s costs one
+exponential and one matrix product with the folded truncated DFT per run of
+target discs, computed in this thread's work buffers and written straight
+into the matrix.  Every other twist is that matrix lifted by `_lift`, which
+places the unitary of each source disc's connecting letter on its columns.
+`assemble_blocks` is a view of the untwisted matrix, block by block.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, field
-from itertools import product as _iproduct
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +36,6 @@ __all__ = [
     "TwistSpec",
     "assemble",
     "assemble_blocks",
-    "blocks_to_matrix",
     "fredholm_det",
     "operator_trace_check",
     "lefschetz_sum",
@@ -78,6 +75,8 @@ class TwistSpec:
         """One unitary per generator letter 1..m; inverse letters get the
         conjugate transposes."""
         ms = tuple(np.asarray(u, dtype=complex) for u in mats)
+        if not ms:
+            raise ValueError("need at least one twist matrix")
         d = ms[0].shape[0]
         for u in ms:
             if u.shape != (d, d):
@@ -94,34 +93,33 @@ class TwistSpec:
         d = int(np.prod(mods))
         return TwistSpec(kind="regular", dim=d, moduli=mods)
 
-    def letter_matrices(self, m: int) -> list[np.ndarray]:
-        """Unitaries for letters 1..2m in order (index k-1 for letter k)."""
+    def letter_matrices(self, m: int) -> np.ndarray:
+        """Unitaries of letters 1..2m, shape (2m, dim, dim), index k-1 for
+        letter k; letter m+k is the inverse of letter k.
+
+        Letter k of regular(N_1, .., N_m) adds 1 to the k-th coordinate of
+        the group element, lexicographically indexed: it is kron(I_{N_1}, ..,
+        S_{N_k}, .., I_{N_m}) with the cyclic shift S_N = roll(I_N, 1, axis=0),
+        built by rolling row axis k of the identity read as a tensor."""
         if self.kind == "trivial":
-            one = np.eye(1, dtype=complex)
-            return [one] * (2 * m)
+            return np.ones((2 * m, 1, 1), dtype=complex)
         if self.kind == "abelian":
             if len(self.theta) != m:
                 raise ValueError(f"theta must have dimension m={m}")
-            out = [np.array([[np.exp(2j * np.pi * t)]]) for t in self.theta]
-            return out + [u.conj() for u in out]
+            e = np.exp(np.array(self.theta) * (2j * np.pi))
+            return np.concatenate((e, e.conj())).reshape(2 * m, 1, 1)
         if self.kind == "matrix":
             if len(self._mats) != m:
                 raise ValueError(f"need {m} twist matrices")
-            return list(self._mats) + [u.conj().T for u in self._mats]
+            out = np.stack(self._mats)
+            return np.concatenate((out, out.conj().transpose(0, 2, 1)))
         if self.kind == "regular":
             if len(self.moduli) != m:
                 raise ValueError(f"moduli must have dimension m={m}")
-            elems = list(_iproduct(*[range(n) for n in self.moduli]))
-            index = {g: t for t, g in enumerate(elems)}
-            out = []
-            for k in range(m):
-                perm = np.zeros((self.dim, self.dim), dtype=complex)
-                for g, t in index.items():
-                    h = list(g)
-                    h[k] = (h[k] + 1) % self.moduli[k]
-                    perm[index[tuple(h)], t] = 1.0
-                out.append(perm)
-            return out + [u.T for u in out]
+            eye = np.eye(self.dim, dtype=complex).reshape(self.moduli * 2)
+            out = np.stack([np.roll(eye, 1, axis=k).reshape(self.dim, self.dim)
+                            for k in range(m)])
+            return np.concatenate((out, out.transpose(0, 2, 1)))
         raise ValueError(f"unknown twist kind: {self.kind}")
 
 
@@ -226,48 +224,37 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
-    """Scalar coefficient blocks keyed by (target disc, source disc),
-    0-based; missing keys are structurally zero.  Block (i, j) has rows
-    indexed by target degree and columns by source degree."""
-    logd, basis, fold, pairs, _ = _sample_tables(data, lmax)
+    """Scalar coefficient blocks of the untwisted matrix keyed by (target
+    disc, source disc), 0-based, in target-major order; missing keys are
+    structurally zero.  Block (i, j) has rows indexed by target degree and
+    columns by source degree, and is a view of the matrix."""
+    pairs = _sample_tables(data, lmax)[3]
+    M = assemble(data, s, TwistSpec.trivial(), lmax)
     nb = lmax + 1
-    per = 2 * data.m - 1
-    blocks = {}
-    for i in range(2 * data.m):
-        rows = slice(i * per, (i + 1) * per)
-        vals = np.exp(s * logd[rows])[:, None, :] * basis[rows]
-        coeff = (vals.reshape(per * nb, -1) @ fold[i]).reshape(per, nb, nb)
-        for key, c in zip(pairs[rows], coeff):
-            blocks[key] = c.T
-    return blocks
+    return {(i, j): M[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] for i, j in pairs}
 
 
-def blocks_to_matrix(data: sk.SchottkyData, blocks: dict, lmax: int,
-                     twist: TwistSpec) -> np.ndarray:
-    """Place every block b, twisted by the unitary u of its connecting
-    letter, as the Kronecker product b (x) u: row r*d+p, column c*d+q of the
-    (i, j) block holds b[r, c] * u[p, q]."""
-    m = data.m
-    d = twist.dim
-    nb = lmax + 1
-    side = nb * d
-    mats = twist.letter_matrices(m)
-    n = 2 * m * side
-    out = np.zeros((n, n), dtype=complex)
-    for (i, j), b in blocks.items():
-        u = mats[(j + m) % (2 * m)]
-        out[i * side:(i + 1) * side, j * side:(j + 1) * side] = (
-            b[:, None, :, None] * u[None, :, None, :]).reshape(side, side)
-    return out
+@functools.lru_cache(maxsize=64)
+def _source_letters(nd: int, nb: int) -> np.ndarray:
+    """0-based connecting letter inv(j) = (j + nd/2) mod nd of the source
+    disc j of each of the nd*nb columns (nb columns per disc), read-only."""
+    index = np.repeat((np.arange(nd) + nd // 2) % nd, nb)
+    index.setflags(write=False)
+    return index
 
 
-def _slab_phases(twist: TwistSpec, m: int, nb: int) -> np.ndarray:
-    """Column phases of a rank-one twist: every column of source disc j
-    carries the scalar of its connecting letter inv(j), which for a
-    character is conj(e(theta_j)) for j < m and e(theta_{j-m}) for j >= m,
-    with e(t) = exp(2 pi i t)."""
-    letters = [u[0, 0] for u in twist.letter_matrices(m)]
-    return np.repeat(letters[m:] + letters[:m], nb)
+def _lift(M: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The twisted matrix from the untwisted one M and the (2m, d, d) letter
+    unitaries: every column of source disc j carries the unitary U_j of its
+    connecting letter inv(j), so block (i, j) becomes the Kronecker product
+    b (x) U_j, whose row r*d+p, column c*d+q holds b[r, c] * U_j[p, q].
+    For d = 1 that is one phase per column."""
+    nd, d = letters.shape[:2]
+    nb = M.shape[0] // nd
+    if d == 1:
+        return M * letters.reshape(nd)[_source_letters(nd, nb)]
+    U = letters[_source_letters(nd, 1)].transpose(1, 0, 2)[:, :, None, :]
+    return (M.reshape(nd, nb, 1, nd, nb, 1) * U).reshape(nd * nb * d, -1)
 
 
 def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,21 +266,35 @@ def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
     return bufs
 
 
+def _untwisted_scratch(nd: int, nb: int) -> np.ndarray:
+    """This thread's (nd, nb, nd, nb) untwisted matrix for a twisted
+    assembly, which `_lift` reads into a fresh array.  Every call writes all
+    admissible blocks, and which blocks are admissible depends on nd only,
+    so the others stay zero while the shape holds.  Without it the untwisted
+    and the twisted matrix would be two fresh arrays alive at once."""
+    buf = getattr(_work, "untwisted", None)
+    if buf is None or buf.shape != (nd, nb, nd, nb):
+        buf = _work.untwisted = np.zeros((nd, nb, nd, nb), dtype=complex)
+    return buf
+
+
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
              lmax: int) -> np.ndarray:
     """Truncated matrix of the twisted operator at s with degrees 0..lmax.
 
-    A rank-one twist is assembled run by run with the operations of
-    assemble_blocks (one exponential, then one product with the folded DFT
-    of the run's targets), written through a (target, source, source degree,
-    target degree) view of the output, then phased column slab by slab."""
-    if twist.dim != 1:
-        return blocks_to_matrix(data, assemble_blocks(data, s, lmax), lmax, twist)
+    The untwisted matrix is assembled run by run (one exponential, then one
+    product with the folded DFT of the run's targets), written through a
+    (target, source, source degree, target degree) view of the output; any
+    other twist is then applied by `_lift`."""
+    letters = None if twist.kind == "trivial" else twist.letter_matrices(data.m)
     logd, basis, _, _, runs = _sample_tables(data, lmax)
     nd = 2 * data.m
     nb = lmax + 1
     K = 4 * nb
-    out = np.zeros((nd, nb, nd, nb), dtype=complex)
+    if letters is None:
+        out = np.zeros((nd, nb, nd, nb), dtype=complex)
+    else:
+        out = _untwisted_scratch(nd, nb)
     placed = out.transpose(0, 2, 3, 1)
     prod, spec = _work_buffers(len(runs[0][1]) * nb * K)  # the first run is the longest
     for rows, tgt, src, fold in runs:
@@ -306,9 +307,7 @@ def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
                            out=spec[:n * nb * nb].reshape(len(fold), -1, nb))
         placed[tgt, src] = taylor.reshape(n, nb, nb)
     M = out.reshape(nd * nb, nd * nb)
-    if twist.kind != "trivial":
-        M *= _slab_phases(twist, data.m, nb)
-    return M
+    return M if letters is None else _lift(M, letters)
 
 
 def fredholm_det(M: np.ndarray) -> complex:

@@ -104,16 +104,15 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
         if len(twist.moduli) != data.m:
             raise ValueError(f"moduli must have dimension m={data.m}")
         trivial = TwistSpec.trivial()
-        phases = [transfer._slab_phases(
-                      TwistSpec.abelian([a / n for a, n in zip(alpha, twist.moduli)]),
-                      data.m, lmax + 1)
-                  for alpha in product(*[range(n) for n in twist.moduli])]
+        characters = [TwistSpec.abelian([a / n for a, n in zip(alpha, twist.moduli)])
+                      .letter_matrices(data.m)
+                      for alpha in product(*[range(n) for n in twist.moduli])]
 
         def value(s: complex) -> complex:
             base = transfer.assemble(data, s, trivial, lmax)
             out = 1.0 + 0.0j
-            for p in phases:
-                out *= transfer.fredholm_det(base * p)
+            for letters in characters:
+                out *= transfer.fredholm_det(transfer._lift(base, letters))
             return out
     else:
         def value(s: complex) -> complex:

@@ -1,0 +1,56 @@
+"""Scalar reference constructions that the transfer tests compare the
+engine against, built block by block from the definitions."""
+
+import numpy as np
+
+from reslab import transfer
+
+
+def scalar_block(data, s, lmax, i, j):
+    """One (lmax+1)^2 block carrying basis functions on disc j to disc i,
+    built from scratch, or None when inadmissible."""
+    m = data.m
+    a0 = (j + m) % (2 * m)
+    if a0 == i:
+        return None
+    g = data.gen(a0 + 1)
+    tgt = data.discs[i]
+    src = data.discs[j]
+    K = 4 * (lmax + 1)
+    rho = 0.75 * tgt.radius
+    circle = transfer._roots_of_unity(K)
+    z = tgt.center + rho * circle
+    den = g.c * z + g.d
+    dv = 1.0 / den ** 2
+    w = (g.a * z + g.b) / den
+    dpow = np.exp(s * np.log(dv))
+    ell = np.arange(lmax + 1)
+    u = (w - src.center) / src.radius
+    phi = (np.sqrt((ell[:, None] + 1) / np.pi) / src.radius) * u[None, :] ** ell[:, None]
+    vals = dpow[None, :] * phi
+    # first lmax+1 DFT outputs, divided by K rho^l and scaled, as one matrix
+    scale = np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1)
+    W = circle.conj()[np.outer(np.arange(K), ell) % K] * (scale / (K * rho ** ell))
+    return (vals @ W).T
+
+
+def kron_placement(data, s, lmax, source_unitaries):
+    """The twisted matrix with every scalar block b of source disc j placed
+    as np.kron(b, source_unitaries[j])."""
+    nd = 2 * data.m
+    side = (lmax + 1) * len(source_unitaries[0])
+    out = np.zeros((nd * side, nd * side), dtype=complex)
+    for i in range(nd):
+        for j in range(nd):
+            b = scalar_block(data, s, lmax, i, j)
+            if b is not None:
+                out[i * side:(i + 1) * side, j * side:(j + 1) * side] = np.kron(
+                    b, source_unitaries[j])
+    return out
+
+
+def source_unitaries(data, twist):
+    """The unitary of each source disc j: that of its connecting letter
+    inv(j), 0-based (j + m) mod 2m."""
+    mats = twist.letter_matrices(data.m)
+    return [mats[(j + data.m) % (2 * data.m)] for j in range(2 * data.m)]

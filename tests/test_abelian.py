@@ -7,6 +7,8 @@ from reslab import abelian, schottky as sk, thermo, transfer, zeros
 from reslab.abelian import AbelianQuotient
 from reslab.transfer import TwistSpec
 
+from oracles import kron_placement, source_unitaries
+
 
 @pytest.fixture(scope="module")
 def sym3():
@@ -104,18 +106,18 @@ def test_modulus_field_symmetry(sym3, delta3):
 
 
 def test_theta_det_equals_twisted_placement():
-    """Phases on the column slabs of the untwisted matrix give the same
-    determinant, bit for bit, as placing every block with its character."""
+    """The untwisted matrix lifted by a character gives the same
+    determinant, bit for bit, as placing every scalar block with its
+    character by np.kron."""
     rng = np.random.default_rng(5)
     for data, lmax in ((sk.preset("symmetric3"), 16), (sk.preset("cylinder"), 12),
                        (sk.preset("sl2z-crossed"), 8)):
         s = complex(0.53, 0.2)
         det = abelian._theta_det_factory(data, s, lmax)
-        blocks = transfer.assemble_blocks(data, s, lmax)
         for _ in range(20):
             theta = tuple(rng.uniform(-1.0, 2.0, size=data.m))
-            expected = transfer.fredholm_det(transfer.blocks_to_matrix(
-                data, blocks, lmax, TwistSpec.abelian(theta)))
+            unitaries = source_unitaries(data, TwistSpec.abelian(theta))
+            expected = transfer.fredholm_det(kron_placement(data, s, lmax, unitaries))
             assert det(theta) == expected
 
 

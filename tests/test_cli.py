@@ -108,6 +108,30 @@ def test_group_file_failing_validation_is_rejected_before_the_experiment(tmp_pat
     assert "disc_disjointness" in captured.err and "boundary_mapping" in captured.err
 
 
+def _cylinder_group(**change):
+    group = sk.group_to_json(sk.preset("cylinder"))
+    group.update(change)
+    return group
+
+
+@pytest.mark.parametrize("group, message", [
+    (_cylinder_group(discs=[{"center": -2.0, "radius": -1.0},
+                            {"center": 2.0, "radius": 1.0}]),
+     "disc radius must be positive"),
+    (_cylinder_group(discs=[{"center": c, "radius": 0.5} for c in (-2.0, 0.0, 2.0)]),
+     "expected 2 discs, got 3"),
+    (_cylinder_group(generators=[[[1.0, 2.0], [3.0, 1.0]]]),
+     "positive determinant, got -5"),
+], ids=["negative_radius", "three_discs_for_m1", "determinant_minus_5"])
+def test_group_file_values_the_schema_rejects_exit_2(tmp_path, capsys, group, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group))
+    assert run(["delta", "--group", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_valid_group_file_gives_the_preset_delta(tmp_path, capsys):
     path = tmp_path / "sym3.json"
     path.write_text(json.dumps(sk.group_to_json(sk.preset("symmetric3"))))

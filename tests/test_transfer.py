@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from reslab import schottky as sk
 from reslab import thermo, transfer, zeros
 from reslab.transfer import TwistSpec
+
+from oracles import kron_placement, scalar_block, source_unitaries
 
 
 @pytest.fixture(scope="module")
@@ -26,34 +29,6 @@ def _rand_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()
 
 
-def _scalar_block(data, s, lmax, i, j):
-    """Reference: one (lmax+1)^2 block carrying basis functions on disc j to
-    disc i, built from scratch, or None when inadmissible."""
-    m = data.m
-    a0 = (j + m) % (2 * m)
-    if a0 == i:
-        return None
-    g = data.gen(a0 + 1)
-    tgt = data.discs[i]
-    src = data.discs[j]
-    K = 4 * (lmax + 1)
-    rho = 0.75 * tgt.radius
-    circle = transfer._roots_of_unity(K)
-    z = tgt.center + rho * circle
-    den = g.c * z + g.d
-    dv = 1.0 / den ** 2
-    w = (g.a * z + g.b) / den
-    dpow = np.exp(s * np.log(dv))
-    ell = np.arange(lmax + 1)
-    u = (w - src.center) / src.radius
-    phi = (np.sqrt((ell[:, None] + 1) / np.pi) / src.radius) * u[None, :] ** ell[:, None]
-    vals = dpow[None, :] * phi
-    # first lmax+1 DFT outputs, divided by K rho^l and scaled, as one matrix
-    scale = np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1)
-    W = circle.conj()[np.outer(np.arange(K), ell) % K] * (scale / (K * rho ** ell))
-    return (vals @ W).T
-
-
 def test_batched_blocks_match_scalar_reference():
     """Blocks from the cached tables equal the per-block construction bit for
     bit, with several (group, lmax) keys live in the cache at once."""
@@ -63,7 +38,7 @@ def test_batched_blocks_match_scalar_reference():
             for s in (0.45, complex(0.3, 1.7), complex(0.7, -3.2)):
                 blocks = transfer.assemble_blocks(data, s, lmax)
                 n = 2 * data.m
-                expected = {(i, j): _scalar_block(data, s, lmax, i, j)
+                expected = {(i, j): scalar_block(data, s, lmax, i, j)
                             for i in range(n) for j in range(n)}
                 expected = {k: b for k, b in expected.items() if b is not None}
                 assert list(blocks) == list(expected)
@@ -122,16 +97,27 @@ def _character(data):
     return TwistSpec.abelian([0.137 * (k + 1) for k in range(data.m)])
 
 
+def _twists(data, rng):
+    """Trivial, a character, random 2x2 unitaries, and the regular twist of
+    Z/2 x Z/3 x 1 x .. (Z/2 for m = 1)."""
+    moduli = ((2, 3) + (1,) * data.m)[:data.m]
+    return (TwistSpec.trivial(), _character(data),
+            TwistSpec.matrix([_rand_unitary(rng, 2) for _ in range(data.m)]),
+            TwistSpec.regular(moduli))
+
+
 def test_engine_matches_kronecker_placement_bit_for_bit():
-    """The rank-one engine gives exactly the matrix that Kronecker placement
-    of assemble_blocks gives, for the trivial twist and a character."""
+    """`assemble` gives exactly the np.kron placement of the scalar blocks,
+    for the trivial twist, a character, a matrix twist and a regular twist
+    (the last two up to lmax 16, where their matrices stay small)."""
+    rng = np.random.default_rng(4)
     for name in _PRESETS:
         data = sk.preset(name)
+        twists = _twists(data, rng)
         for lmax in (2, 4, 12, 16, 32):
             for s in (0.45, complex(0.3, 1.7), complex(0.6, 4.0)):
-                blocks = transfer.assemble_blocks(data, s, lmax)
-                for twist in (TwistSpec.trivial(), _character(data)):
-                    expected = transfer.blocks_to_matrix(data, blocks, lmax, twist)
+                for twist in twists if lmax <= 16 else twists[:2]:
+                    expected = kron_placement(data, s, lmax, source_unitaries(data, twist))
                     got = transfer.assemble(data, s, twist, lmax)
                     assert np.array_equal(got, expected), (name, lmax, s, twist.kind)
 
@@ -139,18 +125,20 @@ def test_engine_matches_kronecker_placement_bit_for_bit():
 def test_discs_of_two_radii_keep_their_own_tables():
     """Discs of radius 1 and 1/2 get one folded DFT per radius; runs that
     mix them (lmax 4, 16) and runs of one disc (lmax 32) still give the
-    scalar reference and Kronecker placement bit for bit."""
+    scalar reference and its np.kron placement bit for bit, for every kind
+    of twist."""
     data = sk.preset("sl2z-pair", B=((11, 60), (2, 11)))
     assert [d.radius for d in data.discs] == [1.0, 0.5, 1.0, 0.5]
+    twists = _twists(data, np.random.default_rng(6))
     for lmax in (4, 16, 32):
         fold = transfer._sample_tables(data, lmax)[2]
         assert fold[0] is fold[2] and fold[1] is fold[3] and fold[0] is not fold[1]
         for s in (0.45, complex(0.3, 1.7)):
             blocks = transfer.assemble_blocks(data, s, lmax)
             for (i, j), b in blocks.items():
-                assert np.array_equal(b, _scalar_block(data, s, lmax, i, j)), (lmax, s)
-            for twist in (TwistSpec.trivial(), _character(data)):
-                expected = transfer.blocks_to_matrix(data, blocks, lmax, twist)
+                assert np.array_equal(b, scalar_block(data, s, lmax, i, j)), (lmax, s)
+            for twist in twists:
+                expected = kron_placement(data, s, lmax, source_unitaries(data, twist))
                 got = transfer.assemble(data, s, twist, lmax)
                 assert np.array_equal(got, expected), (lmax, s, twist.kind)
 
@@ -191,17 +179,19 @@ def test_threads_assembling_at_once_match_a_serial_run():
 
 def test_assembly_peak_memory_is_bounded_by_the_matrix():
     """A warmed assembly allocates little beyond the matrix it returns: the
-    FFT runs in reused per-thread buffers, not in fresh arrays."""
+    DFT runs in reused per-thread buffers, not in fresh arrays, and a
+    character is lifted from a reused per-thread untwisted matrix."""
     data = sk.preset("sl2z-crossed")
     s = complex(0.5, 2.0)
-    transfer.assemble(data, s, TwistSpec.trivial(), 32)
-    tracemalloc.start()
-    try:
-        M = transfer.assemble(data, s, TwistSpec.trivial(), 32)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * M.nbytes, peak / M.nbytes
+    for twist in (TwistSpec.trivial(), _character(data)):
+        transfer.assemble(data, s, twist, 32)
+        tracemalloc.start()
+        try:
+            M = transfer.assemble(data, s, twist, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * M.nbytes, (twist.kind, peak / M.nbytes)
 
 
 def test_lmax_checked_before_data():
@@ -246,20 +236,40 @@ def test_unit_scalar_twist_preserves_block_singular_values(sym3):
 
 
 def test_block_placement_is_kronecker_layout(sym3):
-    """Each (i, j) block of the twisted matrix is kron(b, u) for the unitary u
-    of the connecting letter, bit for bit."""
-    lmax = 6
-    twist = TwistSpec.regular((2, 3))
-    blocks = transfer.assemble_blocks(sym3, complex(0.4, 0.9), lmax)
-    mats = twist.letter_matrices(sym3.m)
-    side = (lmax + 1) * twist.dim
-    n = 2 * sym3.m * side
-    expected = np.zeros((n, n), dtype=complex)
-    for (i, j), b in blocks.items():
-        u = mats[(j + sym3.m) % (2 * sym3.m)]
-        expected[i * side:(i + 1) * side, j * side:(j + 1) * side] = np.kron(b, u)
-    got = transfer.blocks_to_matrix(sym3, blocks, lmax, twist)
-    assert np.array_equal(got, expected)
+    """Block (i, j) of a twisted matrix is kron(b, u) for the unitary u of
+    the connecting letter inv(j), bit for bit: the conjugate transpose of
+    the given unitary of generator j+1 for j < m, that unitary itself for
+    j >= m, and the cyclic shifts of Z/2 x Z/3 for the regular twist."""
+    m, lmax, s = sym3.m, 6, complex(0.4, 0.9)
+    rng = np.random.default_rng(8)
+    given = [_rand_unitary(rng, 3) for _ in range(m)]
+    by_source = [u.conj().T for u in given] + given
+    assert np.array_equal(transfer.assemble(sym3, s, TwistSpec.matrix(given), lmax),
+                          kron_placement(sym3, s, lmax, by_source))
+    shift = [np.roll(np.eye(n), 1, axis=0) for n in (2, 3)]
+    gens = [np.kron(shift[0], np.eye(3)), np.kron(np.eye(2), shift[1])]
+    by_source = [g.T for g in gens] + gens
+    assert np.array_equal(transfer.assemble(sym3, s, TwistSpec.regular((2, 3)), lmax),
+                          kron_placement(sym3, s, lmax, by_source))
+
+
+def test_regular_letters_are_shifts_of_one_coordinate():
+    """Letter k of regular(moduli) moves the lexicographically indexed group
+    element g to g + e_k, and letter m+k moves it back."""
+    for moduli in ((2,), (2, 3), (4, 1), (1, 5, 1, 1), (2, 3, 2, 1)):
+        twist = TwistSpec.regular(moduli)
+        m, d = len(moduli), twist.dim
+        mats = twist.letter_matrices(m)
+        assert mats.shape == (2 * m, d, d)
+        index = {g: t for t, g in enumerate(product(*[range(n) for n in moduli]))}
+        for k in range(m):
+            perm = np.zeros((d, d))
+            for g, t in index.items():
+                h = list(g)
+                h[k] = (h[k] + 1) % moduli[k]
+                perm[index[tuple(h)], t] = 1.0
+            assert np.array_equal(mats[k], perm), (moduli, k)
+            assert np.array_equal(mats[m + k], perm.T), (moduli, k)
 
 
 def test_cylinder_closed_form(cyl):
@@ -384,6 +394,8 @@ def test_twist_validation():
         TwistSpec.matrix([np.array([[2.0, 0.0], [0.0, 1.0]])])
     with pytest.raises(ValueError):
         TwistSpec.regular((0, 2))
+    with pytest.raises(ValueError):
+        TwistSpec.matrix([])
 
 
 def test_lefschetz_empty_for_cylinder_even_mix(cyl):
