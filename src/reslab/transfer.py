@@ -147,23 +147,24 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
       radius rho_i = 0.75 r_i about the target centre, shape (pairs, K);
     - the source-disc basis functions at the images gamma(z), shape
       (pairs, lmax+1, K);
-    - per target disc, the folded truncated DFT fold[i], shape
-      (K, lmax+1): one matrix product with fold[i] takes samples on the
-      circle of disc i to output coefficients.  With circle[k] =
-      exp(2 pi i k / K), fold[i][k, l] is
+    - the (target, source) pairs themselves;
+    - the runs of `assemble`: consecutive target discs whose samples fit in
+      _RUN_BYTES, each as (pair rows, target and source index of each pair,
+      folded DFT tables of its targets).  The folded truncated DFT F_i of
+      target disc i, shape (K, lmax+1), takes samples on the circle of
+      disc i to output coefficients in one matrix product.  With circle[k]
+      = exp(2 pi i k / K), F_i[k, l] is
       conj(circle)[(k l) mod K] * sqrt(pi/(l+1)) r_i^(l+1) / (K rho_i^l):
       the twiddle of DFT output l, the 1/K of the DFT, the Taylor
       coefficient's radius rho_i^-l and the output scale in one factor.
       The twiddles are indexed by the exact residue (k l) mod K, so no
-      large angle enters an exponential.  fold[i] depends on disc i only
-      through r_i, so discs of one radius share one read-only table;
+      large angle enters an exponential.  F_i depends on disc i only
+      through r_i, so discs of one radius share one read-only table; a
+      run's tables are stacked, or the one table its targets share is
+      given with a leading axis of 1, so that such a run is a single
+      product.
 
-    plus the (target, source) pairs themselves, and the runs of `assemble`:
-    consecutive target discs whose samples fit in _RUN_BYTES, each as (pair
-    rows, target and source index of each pair, and the tables of its
-    targets stacked, or the one table they share with a leading axis of 1,
-    so that a run whose targets share a table is a single product).  gamma
-    is the generator of the connecting letter inv(source)."""
+    gamma is the generator of the connecting letter inv(source)."""
     if lmax < 2:
         raise ValueError("lmax must be >= 2")
     m = data.m
@@ -204,7 +205,6 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
             pairs.append((i, j))
     for arr in (logd, basis, *by_radius.values()):
         arr.setflags(write=False)
-    fold = tuple(by_radius[d.radius] for d in data.discs)
     per = nd - 1
     group_bytes = per * nb * K * basis.itemsize
     discs_per_run = max(1, _RUN_BYTES // group_bytes)
@@ -213,14 +213,14 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
         last = min(nd, first + discs_per_run)
         rows = slice(first * per, last * per)
         tgt, src = (np.array(ix) for ix in zip(*pairs[rows]))
-        tables = fold[first:last]
+        tables = [by_radius[d.radius] for d in data.discs[first:last]]
         if all(f is tables[0] for f in tables):
             stacked = tables[0][None]
         else:
             stacked = np.stack(tables)
             stacked.setflags(write=False)
         runs.append((rows, tgt, src, stacked))
-    return logd, basis, fold, tuple(pairs), tuple(runs)
+    return logd, basis, tuple(pairs), tuple(runs)
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
@@ -228,7 +228,7 @@ def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
     disc, source disc), 0-based, in target-major order; missing keys are
     structurally zero.  Block (i, j) has rows indexed by target degree and
     columns by source degree, and is a view of the matrix."""
-    pairs = _sample_tables(data, lmax)[3]
+    pairs = _sample_tables(data, lmax)[2]
     M = assemble(data, s, TwistSpec.trivial(), lmax)
     nb = lmax + 1
     return {(i, j): M[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] for i, j in pairs}
@@ -266,18 +266,6 @@ def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
     return bufs
 
 
-def _untwisted_scratch(nd: int, nb: int) -> np.ndarray:
-    """This thread's (nd, nb, nd, nb) untwisted matrix for a twisted
-    assembly, which `_lift` reads into a fresh array.  Every call writes all
-    admissible blocks, and which blocks are admissible depends on nd only,
-    so the others stay zero while the shape holds.  Without it the untwisted
-    and the twisted matrix would be two fresh arrays alive at once."""
-    buf = getattr(_work, "untwisted", None)
-    if buf is None or buf.shape != (nd, nb, nd, nb):
-        buf = _work.untwisted = np.zeros((nd, nb, nd, nb), dtype=complex)
-    return buf
-
-
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
              lmax: int) -> np.ndarray:
     """Truncated matrix of the twisted operator at s with degrees 0..lmax.
@@ -287,14 +275,11 @@ def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
     (target, source, source degree, target degree) view of the output; any
     other twist is then applied by `_lift`."""
     letters = None if twist.kind == "trivial" else twist.letter_matrices(data.m)
-    logd, basis, _, _, runs = _sample_tables(data, lmax)
+    logd, basis, _, runs = _sample_tables(data, lmax)
     nd = 2 * data.m
     nb = lmax + 1
     K = 4 * nb
-    if letters is None:
-        out = np.zeros((nd, nb, nd, nb), dtype=complex)
-    else:
-        out = _untwisted_scratch(nd, nb)
+    out = np.zeros((nd, nb, nd, nb), dtype=complex)
     placed = out.transpose(0, 2, 3, 1)
     prod, spec = _work_buffers(len(runs[0][1]) * nb * K)  # the first run is the longest
     for rows, tgt, src, fold in runs:

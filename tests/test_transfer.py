@@ -53,7 +53,7 @@ def _dft_errors(data, s, lmax):
     """Max-entry errors of `assemble` and of the FFT recipe (fft, keep the
     first lmax+1 outputs, divide by K and rho^l, scale) against the same
     formula in long double, all from the cached samples logd and basis."""
-    logd, basis, _, pairs, _ = transfer._sample_tables(data, lmax)
+    logd, basis, pairs, _ = transfer._sample_tables(data, lmax)
     nd, nb = 2 * data.m, lmax + 1
     K = 4 * nb
     ell = np.arange(nb)
@@ -131,8 +131,13 @@ def test_discs_of_two_radii_keep_their_own_tables():
     assert [d.radius for d in data.discs] == [1.0, 0.5, 1.0, 0.5]
     twists = _twists(data, np.random.default_rng(6))
     for lmax in (4, 16, 32):
-        fold = transfer._sample_tables(data, lmax)[2]
-        assert fold[0] is fold[2] and fold[1] is fold[3] and fold[0] is not fold[1]
+        runs = transfer._sample_tables(data, lmax)[3]
+        tables = [table for *_, stacked in runs for table in stacked]  # one per disc
+        assert np.array_equal(tables[0], tables[2]) and np.array_equal(tables[1], tables[3])
+        assert not np.array_equal(tables[0], tables[1])
+        if len(runs) == 4:  # one disc per run: discs of one radius share one table
+            assert np.shares_memory(tables[0], tables[2])
+            assert np.shares_memory(tables[1], tables[3])
         for s in (0.45, complex(0.3, 1.7)):
             blocks = transfer.assemble_blocks(data, s, lmax)
             for (i, j), b in blocks.items():
@@ -180,7 +185,7 @@ def test_threads_assembling_at_once_match_a_serial_run():
 def test_assembly_peak_memory_is_bounded_by_the_matrix():
     """A warmed assembly allocates little beyond the matrix it returns: the
     DFT runs in reused per-thread buffers, not in fresh arrays, and a
-    character is lifted from a reused per-thread untwisted matrix."""
+    character adds only the lifted copy of the untwisted matrix."""
     data = sk.preset("sl2z-crossed")
     s = complex(0.5, 2.0)
     for twist in (TwistSpec.trivial(), _character(data)):
