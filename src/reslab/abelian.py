@@ -145,7 +145,7 @@ def implicit_curve(data: SchottkyData, epsilon: float, grid_n: int = 5,
                    lmax: int = 16, delta: Optional[float] = None,
                    max_shrink: int = 3) -> ImplicitCurve:
     """phi(theta) on the grid over B_inf(0, epsilon), continued from delta by
-    warm-started Newton; epsilon shrinks (up to max_shrink times) if the
+    warm-started secant refinement; epsilon shrinks (up to max_shrink times) if the
     continuation fails anywhere."""
     if delta is None:
         delta = zeros._delta_of(data, lmax)

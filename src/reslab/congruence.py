@@ -413,26 +413,6 @@ def character_average(data: SchottkyData, p: int, T: Optional[float] = None,
     }
 
 
-def zero_production_report(data: SchottkyData, primes: Sequence[int],
-                           delta: float, beta: float = 1.5, eps: float = 0.1,
-                           sigma: float = 0.5) -> dict:
-    """Experiment summary: measured growth exponent of the S(p) certificate
-    across primes, reported against the two theoretical exponents
-    (2*delta - 1/2 - eps)*beta and 2 + 2*(sigma + eps)*beta + eps."""
-    rows = [character_average(data, p, beta=beta, eps=eps) for p in primes]
-    logs_p = np.log([r["p"] for r in rows])
-    logs_lb = np.log([max(r["lower_bound"], 1) for r in rows])
-    fitted = float(np.polyfit(logs_p, logs_lb, 1)[0]) if len(rows) >= 2 else float("nan")
-    return {
-        "primes": list(primes),
-        "reports": rows,
-        "fitted_certificate_exponent": fitted,
-        "lower_exponent": (2 * delta - 0.5 - eps) * beta,
-        "upper_exponent": 2 + 2 * (sigma + eps) * beta + eps,
-        "min_nontrivial_dim": [(p - 1) // 2 for p in primes],
-    }
-
-
 def abelian_average_crosscheck(data: SchottkyData, N: int, T: float,
                                phi0: Optional[Callable] = None) -> tuple[float, float]:
     """Toy oracle: on the abelian quotient Z/N (first homology coordinate),

@@ -75,14 +75,6 @@ class TestFunction:
             out = out * np.sinc(mu * xi / np.pi)
         return out
 
-    def fourier_grid(self, xi) -> np.ndarray:
-        """Direct quadrature transform of the sampled values; reliable only
-        for moderate |xi| (used as an oracle against fourier())."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        h = self.x[1] - self.x[0]
-        return np.array([np.sum(self.values * np.exp(-1j * w * self.x)) * h
-                         for w in xi])
-
 
 def build_test_function(eps: float, J: int, grid_size: int = 1 << 14) -> TestFunction:
     if J < 1:

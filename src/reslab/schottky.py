@@ -227,8 +227,9 @@ class ValidationReport:
 
 
 def validate(data: SchottkyData, n_boundary: int = 16) -> ValidationReport:
-    """Check disc disjointness, determinant normalization and the disc-swap
-    condition gamma_i(D_i) = complement of closure(D_{m+i}).
+    """Check disc disjointness and the disc-swap condition
+    gamma_i(D_i) = complement of closure(D_{m+i}).  Unit determinants and
+    positive radii need no check: MoebiusMap and Disc enforce them.
 
     Never raises on bad geometry; every failure comes back as a structured
     check with its measured margin.
@@ -243,13 +244,6 @@ def validate(data: SchottkyData, n_boundary: int = 16) -> ValidationReport:
             gap = min(gap, g)
     checks.append(CheckResult("disc_disjointness", gap > 0, gap,
                               detail="minimal gap between disc closures"))
-
-    det_err = max(abs(g.a * g.d - g.b * g.c - 1.0) for g in data.generators)
-    checks.append(CheckResult("unit_determinant", det_err <= _DET_TOL, det_err))
-
-    rad_ok = all(d.radius > 0 for d in data.discs)
-    checks.append(CheckResult("positive_radii", rad_ok,
-                              min(d.radius for d in data.discs)))
 
     worst_res = 0.0
     orient_ok = True

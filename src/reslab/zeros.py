@@ -1,5 +1,5 @@
 """Euler-product oracle for twisted L-functions, argument-principle zero
-counting in rectangles, Newton refinement, and resonance-set assembly."""
+counting in rectangles, secant refinement, and resonance-set assembly."""
 
 from __future__ import annotations
 
@@ -28,9 +28,8 @@ __all__ = [
 
 EULER_MARGIN = 0.1
 CONTOUR_MIN_MODULUS = 1e-6
-NEWTON_STEP = 1e-6
 NEWTON_TOL = 1e-10
-NEWTON_MAXITER = 50
+REFINE_MAX_DETS = 150
 
 
 class ContourError(RuntimeError):
@@ -183,30 +182,31 @@ def count_zeros(data: sk.SchottkyData, twist: TwistSpec, rectangle,
 def refine_zero(data: sk.SchottkyData, twist: TwistSpec, s0: complex,
                 lmax: int = 16, det: Optional[Callable] = None,
                 mult: int = 1) -> tuple[complex, float, bool]:
-    """Newton iteration on det with central finite differences.
+    """Secant iteration on det from the starts s0 and s0 + 1e-6, one
+    determinant per step and at most REFINE_MAX_DETS steps.
 
-    For a zero of known multiplicity the step is scaled by mult, which
-    restores quadratic convergence; otherwise plain Newton crawls linearly
-    into a multiple zero and stalls short of locating it precisely.
+    For a zero of known multiplicity the step is scaled by mult; otherwise
+    the iteration crawls linearly into a multiple zero and stalls short of
+    locating it precisely. Steps are capped at modulus 1.
     Returns (s, |det(s)|, converged)."""
     if det is None:
         det = make_det(data, twist, lmax)
-    s = complex(s0)
-    h = NEWTON_STEP
+    a = complex(s0)
+    s = a + 1e-6
+    fa, v = det(a), det(s)
     converged = False
-    for _ in range(NEWTON_MAXITER):
-        v = det(s)
-        dv = (det(s + h) - det(s - h)) / (2 * h)
-        if dv == 0:
+    for _ in range(REFINE_MAX_DETS):
+        if v == fa:
             break
-        step = max(1, mult) * v / dv
+        step = max(1, mult) * v * (s - a) / (v - fa)
         if abs(step) > 1.0:
             step *= 1.0 / abs(step)
+        a, fa = s, v
         s = s - step
-        if abs(v) < NEWTON_TOL and abs(step) < 1e-9:
+        v = det(s)
+        if abs(fa) < NEWTON_TOL and abs(step) < 1e-9:
             converged = True
             break
-    v = det(s)
     return s, abs(v), converged or abs(v) < NEWTON_TOL
 
 

@@ -1,9 +1,10 @@
-"""Scalar reference constructions that the transfer tests compare the
-engine against, built block by block from the definitions."""
+"""Reference constructions that the tests compare the program against:
+transfer blocks built block by block from the definitions, central-difference
+Newton for zero refinement, and a quadrature Fourier transform."""
 
 import numpy as np
 
-from reslab import transfer
+from reslab import transfer, zeros
 
 
 def scalar_block(data, s, lmax, i, j):
@@ -54,3 +55,34 @@ def source_unitaries(data, twist):
     inv(j), 0-based (j + m) mod 2m."""
     mats = twist.letter_matrices(data.m)
     return [mats[(j + data.m) % (2 * data.m)] for j in range(2 * data.m)]
+
+
+def newton_refine(det, s0, mult=1):
+    """Newton iteration on det with central finite differences (step 1e-6),
+    three determinants per step for at most 50 steps, with refine_zero's
+    step cap and stopping rule. Returns (s, |det(s)|, converged)."""
+    s = complex(s0)
+    h = 1e-6
+    converged = False
+    for _ in range(50):
+        v = det(s)
+        dv = (det(s + h) - det(s - h)) / (2 * h)
+        if dv == 0:
+            break
+        step = max(1, mult) * v / dv
+        if abs(step) > 1.0:
+            step *= 1.0 / abs(step)
+        s = s - step
+        if abs(v) < zeros.NEWTON_TOL and abs(step) < 1e-9:
+            converged = True
+            break
+    v = det(s)
+    return s, abs(v), converged or abs(v) < zeros.NEWTON_TOL
+
+
+def fourier_grid(tf, xi):
+    """Direct quadrature transform of the sampled values of the test
+    function tf; reliable only for moderate |xi|."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    h = tf.x[1] - tf.x[0]
+    return np.array([np.sum(tf.values * np.exp(-1j * w * tf.x)) * h for w in xi])

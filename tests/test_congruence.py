@@ -321,10 +321,3 @@ def test_grouped_pair_sums_match_double_loop(name, p):
 def test_surjectivity(pair):
     for p in (5, 7, 11):
         assert cg.surjectivity_check(pair, p)
-
-
-def test_zero_production_report(pair):
-    rep = cg.zero_production_report(pair, [5, 7, 11], delta=0.3939196600212)
-    assert len(rep["reports"]) == 3
-    assert rep["upper_exponent"] > rep["lower_exponent"]
-    assert np.isfinite(rep["fitted_certificate_exponent"])

@@ -59,6 +59,35 @@ def test_validate_overlapping_discs_fail(cyl):
     assert gap.margin < 0
 
 
+CHECKS = ("disc_disjointness", "boundary_mapping", "center_maps_outside")
+
+
+def _failing_cylinder(cyl, check):
+    """The cylinder, changed so that exactly the named check fails."""
+    g = cyl.generators[0]
+    src, dst = cyl.discs
+    if check == "disc_disjointness":
+        # a source disc wide enough to cover g's attracting fixed point 1;
+        # the target is the image of its boundary, found from the diameter
+        src = sk.Disc(src.center, 2.6)
+        lo, hi = sorted(g(src.center + sign * src.radius).real for sign in (-1, 1))
+        dst = sk.Disc((lo + hi) / 2, (hi - lo) / 2)
+    elif check == "boundary_mapping":
+        dst = sk.Disc(dst.center + 0.01, dst.radius)
+    else:
+        # z -> c - r^2 / (z - c) keeps the source circle and swaps its sides
+        c, r = src.center, src.radius
+        g = g.compose(sk.MoebiusMap(c, -r * r - c * c, 1.0, -c))
+    return sk.SchottkyData(m=1, discs=(src, dst), generators=(g,))
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_every_reported_check_can_fail(cyl, check):
+    rep = sk.validate(_failing_cylinder(cyl, check))
+    assert tuple(c.name for c in rep.checks) == CHECKS
+    assert [c.name for c in rep.checks if not c.passed] == [check]
+
+
 def test_word_counts(sym3):
     assert sum(1 for _ in sk.enumerate_words(sym3, 1)) == 4
     assert sum(1 for _ in sk.enumerate_words(sym3, 3)) == 36

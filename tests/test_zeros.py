@@ -7,6 +7,8 @@ from reslab import schottky as sk
 from reslab import thermo, transfer, zeros
 from reslab.transfer import TwistSpec
 
+from oracles import newton_refine
+
 TRIV = TwistSpec.trivial()
 
 
@@ -92,6 +94,56 @@ def test_refine_flags_zero_free_region(sym3, delta3):
     s, res, ok = zeros.refine_zero(sym3, TRIV, complex(delta3 + 2.0, 0.3))
     assert not ok or res >= 1e-10 or abs(s.real - (delta3 + 2.0)) > 1.0
     assert not (ok and res < 1e-10 and abs(s - complex(delta3 + 2.0, 0.3)) < 0.5)
+
+
+def _counting(det):
+    """det, and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return det(s)
+
+    return counted, calls
+
+
+def test_secant_matches_newton_with_fewer_determinants(cyl):
+    """Starts 0.004-0.02 from delta on two presets at lmax 16 and 32, and
+    the cylinder's double zero: the secant lands on Newton's zero with
+    about half its determinants (Newton spends 13 per call here)."""
+    ell = 2 * math.acosh(1.5)
+    cases = [(cyl, 16, complex(0.0, 2 * math.pi / ell) + complex(0.01, -0.02), 2)]
+    for name in ("symmetric3", "sl2z-pair"):
+        data = sk.preset(name)
+        delta = thermo.critical_exponent(data)
+        for lmax in (16, 32):
+            for k, r in enumerate(np.linspace(0.004, 0.02, 5)):
+                angle = 2 * math.pi * (k + 0.3) / 5
+                cases.append((data, lmax, delta + r * complex(math.cos(angle),
+                                                               math.sin(angle)), 1))
+    dets = 0
+    for data, lmax, s0, mult in cases:
+        det, calls = _counting(zeros.make_det(data, TRIV, lmax))
+        s, _, ok = zeros.refine_zero(data, TRIV, s0, det=det, mult=mult)
+        dets += len(calls)
+        s_ref, _, ok_ref = newton_refine(zeros.make_det(data, TRIV, lmax), s0, mult=mult)
+        assert ok and ok_ref
+        assert abs(s - s_ref) < 1e-9
+    assert dets / len(cases) <= 7
+
+
+def test_refine_spends_at_most_its_budget(sym3, delta3):
+    """Two starts plus 150 steps at most: from the zero-free start, and from
+    delta for the character (1/2, 0) at lmax 10, where |det| is about 0.98
+    and the secant runs out of steps."""
+    det, calls = _counting(zeros.make_det(sym3, TRIV, 16))
+    zeros.refine_zero(sym3, TRIV, complex(delta3 + 2.0, 0.3), det=det)
+    assert len(calls) <= 152
+    half = TwistSpec.abelian((0.5, 0.0))
+    det, calls = _counting(zeros.make_det(sym3, half, 10))
+    _, _, ok = zeros.refine_zero(sym3, half, complex(delta3), det=det)
+    assert not ok
+    assert len(calls) == 152
 
 
 def test_cylinder_resonance_lattice(cyl):
