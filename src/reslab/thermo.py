@@ -18,10 +18,12 @@ ROOT_MAXITER = 100
 
 def pressure(data: SchottkyData, sigma: float, lmax: int = DEFAULT_LMAX) -> float:
     """log of the spectral radius of the truncated untwisted operator at the
-    real parameter sigma; strictly decreasing and convex in sigma."""
+    real parameter sigma; strictly decreasing and convex in sigma.  A group
+    with the disc involution takes the larger radius of its two sectors."""
     if lmax < MIN_LMAX:
         raise ValueError(f"lmax must be >= {MIN_LMAX}")
-    M = transfer.assemble(data, float(sigma), transfer.TwistSpec.trivial(), lmax)
+    M = transfer.assemble(data, float(sigma), transfer.TwistSpec.trivial(), lmax,
+                          sectors=True)
     r = transfer.spectral_radius(M)
     if not r > 0:
         raise ArithmeticError("spectral radius collapsed to zero")

@@ -12,10 +12,19 @@ at the images, scales) is built once per (group, lmax) and cached.
 
 `assemble` builds the untwisted matrix in one engine: a new s costs one
 exponential and one matrix product with the folded truncated DFT per run of
-target discs, computed in this thread's work buffers and written straight
-into the matrix.  Every other twist is that matrix lifted by `_lift`, which
-places the unitary of each source disc's connecting letter on its columns.
-`assemble_blocks` is a view of the untwisted matrix, block by block.
+target discs (`_run_taylor`), computed in this thread's work buffers and
+written straight into the matrix.  Every other twist is that matrix lifted
+by `_lift`, which places the unitary of each source disc's connecting letter
+on its columns.  `assemble_blocks` is a view of the untwisted matrix, block
+by block.
+
+A group whose discs and generators are symmetric under J(z) = c0 - z
+(cylinder, symmetric3, sl2z-pair, or any group file with that symmetry) has
+an untwisted operator that commutes with F -> F o J.  Asked for its sectors,
+`assemble` runs the same engine over half the pairs and returns the two
+half-size matrices of the +-1 eigenspaces, whose determinants multiply to
+the full one (Borthwick-Weich, J. Spectral Theory 6, 2016); when the two are
+one matrix, as for the cylinder, `fredholm_det` factors it once and squares.
 """
 
 from __future__ import annotations
@@ -47,6 +56,9 @@ _SAMPLE_FRACTION = 0.75
 # Upper bound on the samples of one exponential and DFT run, in bytes; a
 # run always holds at least one target disc.
 _RUN_BYTES = 256 * 1024
+
+# Relative tolerance of the geometric symmetry test in `_disc_involution`.
+_SYMMETRY_RTOL = 1e-10
 
 _work = threading.local()
 
@@ -136,91 +148,171 @@ def _roots_of_unity(K: int) -> np.ndarray:
     return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
 
 
-@functools.lru_cache(maxsize=32)
-def _sample_tables(data: sk.SchottkyData, lmax: int):
-    """The s-independent parts of every admissible block, built once per
-    (group, lmax) and stacked over the 2m(2m-1) (target, source) disc pairs
-    in target-major order (the 2m-1 pairs of target i are rows
-    i*(2m-1) .. (i+1)*(2m-1)-1):
+@functools.lru_cache(maxsize=64)
+def _folded_dft(radius: float, lmax: int) -> np.ndarray:
+    """The folded truncated DFT of a target disc of this radius, shape
+    (K, lmax+1) with K = 4(lmax+1), read-only: it takes samples on the
+    circle of radius rho = 0.75 radius about the disc centre to output
+    coefficients in one matrix product.  With circle[k] = exp(2 pi i k / K),
+    entry [k, l] is conj(circle)[(k l) mod K] * sqrt(pi/(l+1)) radius^(l+1)
+    / (K rho^l): the twiddle of DFT output l, the 1/K of the DFT, the Taylor
+    coefficient's radius rho^-l and the output scale in one factor.  The
+    twiddles are indexed by the exact residue (k l) mod K, so no large angle
+    enters an exponential.  Discs of one radius share one table."""
+    nb = lmax + 1
+    K = 4 * nb
+    ell = np.arange(nb)
+    rho = _SAMPLE_FRACTION * radius
+    twiddle = _roots_of_unity(K).conj()[np.outer(np.arange(K), ell) % K]
+    scale = np.sqrt(np.pi / (ell + 1)) * radius ** (ell + 1)
+    table = twiddle * (scale / (K * rho ** ell))
+    table.setflags(write=False)
+    return table
 
-    - log gamma'(z) at the K = 4(lmax+1) sample points z on the circle of
-      radius rho_i = 0.75 r_i about the target centre, shape (pairs, K);
-    - the source-disc basis functions at the images gamma(z), shape
-      (pairs, lmax+1, K);
-    - the (target, source) pairs themselves;
-    - the runs of `assemble`: consecutive target discs whose samples fit in
-      _RUN_BYTES, each as (pair rows, target and source index of each pair,
-      folded DFT tables of its targets).  The folded truncated DFT F_i of
-      target disc i, shape (K, lmax+1), takes samples on the circle of
-      disc i to output coefficients in one matrix product.  With circle[k]
-      = exp(2 pi i k / K), F_i[k, l] is
-      conj(circle)[(k l) mod K] * sqrt(pi/(l+1)) r_i^(l+1) / (K rho_i^l):
-      the twiddle of DFT output l, the 1/K of the DFT, the Taylor
-      coefficient's radius rho_i^-l and the output scale in one factor.
-      The twiddles are indexed by the exact residue (k l) mod K, so no
-      large angle enters an exponential.  F_i depends on disc i only
-      through r_i, so discs of one radius share one read-only table; a
-      run's tables are stacked, or the one table its targets share is
-      given with a leading axis of 1, so that such a run is a single
-      product.
 
-    gamma is the generator of the connecting letter inv(source)."""
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
+def _pair_samples(data: sk.SchottkyData, lmax: int, targets: Sequence[int]):
+    """The samples of every admissible (target, source) pair of the given
+    target discs, in target-major order (2m-1 pairs per target): log
+    gamma'(z) at the K = 4(lmax+1) sample points z on the circle of radius
+    rho_i = 0.75 r_i about the target centre, shape (pairs, K); the
+    source-disc basis functions at the images gamma(z), shape (pairs,
+    lmax+1, K); and the pairs.  gamma is the generator of the connecting
+    letter inv(source)."""
     m = data.m
     nd = 2 * m
     nb = lmax + 1
     K = 4 * nb
-    npairs = nd * (nd - 1)
-    logd = np.empty((npairs, K), dtype=complex)
-    basis = np.empty((npairs, nb, K), dtype=complex)
-    by_radius = {}
-    pairs = []
+    pairs = [(i, j) for i in targets for j in range(nd) if (j + m) % nd != i]
+    logd = np.empty((len(pairs), K), dtype=complex)
+    basis = np.empty((len(pairs), nb, K), dtype=complex)
     ell = np.arange(nb)
     circle = _roots_of_unity(K)
-    twiddle = circle.conj()[np.outer(np.arange(K), ell) % K]
-    for i in range(nd):
+    for k, (i, j) in enumerate(pairs):
         tgt = data.discs[i]
-        rho = _SAMPLE_FRACTION * tgt.radius
-        z = tgt.center + rho * circle
-        if tgt.radius not in by_radius:
-            scale = np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1)
-            by_radius[tgt.radius] = twiddle * (scale / (K * rho ** ell))
-        for j in range(nd):
-            a0 = (j + m) % nd  # 0-based connecting letter, inv(j)
-            if a0 == i:
-                continue
-            g = data.gen(a0 + 1)
-            src = data.discs[j]
-            den = g.c * z + g.d
-            dv = 1.0 / den ** 2
-            if np.any((dv.real <= 0) & (np.abs(dv.imag) < 1e-300)):
-                raise ValueError("sampled derivative on the branch cut")
-            w = (g.a * z + g.b) / den
-            u = (w - src.center) / src.radius
-            k = len(pairs)
-            logd[k] = np.log(dv)
-            basis[k] = ((np.sqrt((ell[:, None] + 1) / np.pi) / src.radius)
-                        * u[None, :] ** ell[:, None])
-            pairs.append((i, j))
-    for arr in (logd, basis, *by_radius.values()):
-        arr.setflags(write=False)
-    per = nd - 1
-    group_bytes = per * nb * K * basis.itemsize
-    discs_per_run = max(1, _RUN_BYTES // group_bytes)
-    runs = []
-    for first in range(0, nd, discs_per_run):
-        last = min(nd, first + discs_per_run)
-        rows = slice(first * per, last * per)
-        tgt, src = (np.array(ix) for ix in zip(*pairs[rows]))
-        tables = [by_radius[d.radius] for d in data.discs[first:last]]
+        z = tgt.center + _SAMPLE_FRACTION * tgt.radius * circle
+        g = data.gen((j + m) % nd + 1)
+        src = data.discs[j]
+        den = g.c * z + g.d
+        dv = 1.0 / den ** 2
+        if np.any((dv.real <= 0) & (np.abs(dv.imag) < 1e-300)):
+            raise ValueError("sampled derivative on the branch cut")
+        w = (g.a * z + g.b) / den
+        u = (w - src.center) / src.radius
+        logd[k] = np.log(dv)
+        basis[k] = ((np.sqrt((ell[:, None] + 1) / np.pi) / src.radius)
+                    * u[None, :] ** ell[:, None])
+    return logd, basis, pairs
+
+
+def _run_rows(data: sk.SchottkyData, lmax: int, targets: Sequence[int]):
+    """The runs over targets laid out as by `_pair_samples`: consecutive
+    targets whose samples fit in _RUN_BYTES, each as (pair rows, folded
+    DFTs of its targets).  The folded DFTs are the one table the targets
+    share with a leading axis of 1, so that such a run is a single
+    product, or the read-only stack of one table per target."""
+    per = 2 * data.m - 1
+    nb = lmax + 1
+    per_run = max(1, _RUN_BYTES // (per * nb * 4 * nb * np.dtype(complex).itemsize))
+    for first in range(0, len(targets), per_run):
+        batch = targets[first:first + per_run]
+        tables = [_folded_dft(data.discs[i].radius, lmax) for i in batch]
         if all(f is tables[0] for f in tables):
-            stacked = tables[0][None]
+            fold = tables[0][None]
         else:
-            stacked = np.stack(tables)
-            stacked.setflags(write=False)
-        runs.append((rows, tgt, src, stacked))
-    return logd, basis, tuple(pairs), tuple(runs)
+            fold = np.stack(tables)
+            fold.setflags(write=False)
+        yield slice(first * per, (first + len(batch)) * per), fold
+
+
+@functools.lru_cache(maxsize=32)
+def _sample_tables(data: sk.SchottkyData, lmax: int):
+    """The s-independent parts of every admissible block, built once per
+    (group, lmax) by `_pair_samples` over all 2m target discs (the 2m-1
+    pairs of target i are rows i*(2m-1) .. (i+1)*(2m-1)-1): log gamma'
+    (pairs, K), basis values (pairs, lmax+1, K), the (target, source)
+    pairs, and the runs of `assemble` from `_run_rows`, each as (pair rows,
+    target and source index of each pair, folded DFTs)."""
+    if lmax < 2:
+        raise ValueError("lmax must be >= 2")
+    logd, basis, pairs = _pair_samples(data, lmax, range(2 * data.m))
+    for arr in (logd, basis):
+        arr.setflags(write=False)
+    runs = tuple((rows, *(np.array(ix) for ix in zip(*pairs[rows])), fold)
+                 for rows, fold in _run_rows(data, lmax, range(2 * data.m)))
+    return logd, basis, tuple(pairs), runs
+
+
+def _disc_involution(data: sk.SchottkyData) -> Optional[tuple[int, ...]]:
+    """The disc permutation sigma of the involution J(z) = c0 - z, with c0
+    the sum of the smallest and largest disc centres, or None when J is not
+    a symmetry of the group.  It is one when, to a relative tolerance, J
+    maps every disc i onto a disc sigma(i) != i of the same radius, sigma
+    commutes with the letter inversion inv, and every generator satisfies
+    J g_a J = +-g_pi(a) with pi(a) = inv(sigma(inv(a))) = sigma(a).  Then
+    F -> F o J commutes with every L_s.  Geometry only: nothing here
+    assembles a matrix."""
+    nd = 2 * data.m
+    centres = np.array([d.center for d in data.discs])
+    radii = np.array([d.radius for d in data.discs])
+    c0 = centres.min() + centres.max()
+    tol = _SYMMETRY_RTOL * (np.abs(centres).max() + radii.max())
+    sigma = []
+    for c, r in zip(centres, radii):
+        hit = np.flatnonzero((np.abs(centres - (c0 - c)) <= tol)
+                             & (np.abs(radii - r) <= _SYMMETRY_RTOL * r))
+        if len(hit) != 1:
+            return None
+        sigma.append(int(hit[0]))
+    inv = [(a + data.m) % nd for a in range(nd)]
+    if any(sigma[i] == i or sigma[inv[i]] != inv[sigma[i]] for i in range(nd)):
+        return None
+    J = np.array([[-1.0, c0], [0.0, 1.0]])
+    gens = data.gens_array()
+    for a in range(nd):
+        conj, target = J @ gens[a] @ J, gens[sigma[a]]
+        gap = min(np.abs(conj - target).max(), np.abs(conj + target).max())
+        if gap > _SYMMETRY_RTOL * np.abs(target).max():
+            return None
+    return tuple(sigma)
+
+
+@functools.lru_cache(maxsize=32)
+def _sector_plan(data: sk.SchottkyData, lmax: int):
+    """The sector tables of a group with the disc involution J, or None.
+
+    In the Bergman basis F -> F o J is the signed permutation P with
+    (Pa)_{i,l} = (-1)^l a_{sigma(i),l}, and P M P = M.  On the +-1
+    eigenspaces of P, M acts in the coordinates of one representative disc
+    i < sigma(i) of each orbit as M+- = X +- Y, with X[i, c] = M[i, c] and
+    Y[i, c] = M[i, sigma(c)] D, D = diag((-1)^l), over representatives i
+    and c; so det(I - M) = det(I - M+) det(I - M-).
+
+    Only the representatives' target rows are sampled (`_pair_samples`).
+    A pair (i, j) whose source j is not a representative belongs to Y, in
+    column sigma(j); its basis rows are scaled by (-1)^l here, so that its
+    block already carries D.  Returns (logd, basis, runs, reps, crossed):
+    the samples of these pairs; the runs of `_run_rows` over the
+    representatives, each as (pair rows, target and source column of each
+    pair, 0 or 1 for X or Y, folded DFTs); the number of representatives;
+    and whether Y has any block (if not, M+ = M- = X)."""
+    if lmax < 2:
+        raise ValueError("lmax must be >= 2")
+    sigma = _disc_involution(data)
+    if sigma is None:
+        return None
+    reps = [i for i in range(2 * data.m) if i < sigma[i]]
+    column = {}
+    for k, i in enumerate(reps):
+        column[i] = column[sigma[i]] = k
+    logd, basis, pairs = _pair_samples(data, lmax, reps)
+    half = np.array([j not in reps for _, j in pairs], dtype=int)
+    basis[half == 1] *= ((-1.0) ** np.arange(lmax + 1))[:, None]
+    for arr in (logd, basis):
+        arr.setflags(write=False)
+    runs = tuple((rows, *(np.array([column[d] for d in ix]) for ix in zip(*pairs[rows])),
+                  half[rows], fold)
+                 for rows, fold in _run_rows(data, lmax, reps))
+    return logd, basis, runs, len(reps), bool(half.any())
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
@@ -266,39 +358,98 @@ def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
     return bufs
 
 
+def _run_taylor(s: complex, logd: np.ndarray, basis: np.ndarray,
+                fold: np.ndarray, prod: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Taylor blocks (pair, source degree, target degree) of one run at s,
+    from its samples logd (pairs, K) and basis values (pairs, nb, K): one
+    exponential, then one product with the folded DFT of its targets, in
+    this thread's work buffers prod and spec.  The result is a view of
+    spec, valid until the next run."""
+    n, nb, K = basis.shape
+    dpow = np.multiply(s, logd, out=spec[:n * K].reshape(n, K))
+    np.exp(dpow, out=dpow)
+    vals = np.multiply(dpow[:, None, :], basis, out=prod[:n * nb * K].reshape(n, nb, K))
+    taylor = np.matmul(vals.reshape(len(fold), -1, K), fold,
+                       out=spec[:n * nb * nb].reshape(len(fold), -1, nb))
+    return taylor.reshape(n, nb, nb)
+
+
+def _sectors(plan, s: complex, nb: int) -> np.ndarray:
+    """The transposed sector matrices (M+^T, M-^T) of `_sector_plan` at s,
+    shape (2, h, h) with h = reps * nb.  Every block is placed in X^T or
+    Y^T through a (half, target, source, source degree, target degree)
+    view whose last axis is contiguous, then M+^T = X^T + Y^T and
+    M-^T = X^T - Y^T.  With Y empty the two sectors are one matrix,
+    returned as a view that repeats it (stride 0 on the sector axis)."""
+    logd, basis, runs, reps, crossed = plan
+    h = reps * nb
+    halves = np.zeros((1 + crossed, reps, nb, reps, nb), dtype=complex)
+    placed = halves.transpose(0, 3, 1, 2, 4)
+    prod, spec = _work_buffers(len(runs[0][1]) * nb * 4 * nb)  # the first run is the longest
+    for rows, tgt, src, half, fold in runs:
+        placed[half, tgt, src] = _run_taylor(s, logd[rows], basis[rows], fold, prod, spec)
+    X = halves.reshape(-1, h, h)
+    if not crossed:
+        return np.ndarray((2, h, h), complex, X, strides=(0,) + X.strides[1:])
+    M = np.empty((2, h, h), dtype=complex)
+    np.add(X[0], X[1], out=M[0])
+    np.subtract(X[0], X[1], out=M[1])
+    return M
+
+
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
-             lmax: int) -> np.ndarray:
+             lmax: int, sectors: bool = False) -> np.ndarray:
     """Truncated matrix of the twisted operator at s with degrees 0..lmax.
 
-    The untwisted matrix is assembled run by run (one exponential, then one
-    product with the folded DFT of the run's targets), written through a
-    (target, source, source degree, target degree) view of the output; any
-    other twist is then applied by `_lift`."""
+    The untwisted matrix is assembled run by run (`_run_taylor`: one
+    exponential, then one product with the folded DFT of the run's
+    targets), written through a (target, source, source degree, target
+    degree) view of the output; any other twist is then applied by `_lift`.
+
+    With sectors=True, the untwisted operator of a group with the disc
+    involution (`_disc_involution`) comes back as its two half-size sector
+    matrices instead (`_sector_plan`), stacked with shape (2, n/2, n/2) and
+    each transposed, which is the cheaper layout to write: their
+    determinants multiply to det(I - M) (`fredholm_det`) and their spectra
+    make up that of M.  Only the representatives' rows are assembled.  Any
+    other twist or group ignores the flag."""
     letters = None if twist.kind == "trivial" else twist.letter_matrices(data.m)
+    nb = lmax + 1
+    if sectors and letters is None:
+        plan = _sector_plan(data, lmax)
+        if plan is not None:
+            return _sectors(plan, s, nb)
     logd, basis, _, runs = _sample_tables(data, lmax)
     nd = 2 * data.m
-    nb = lmax + 1
-    K = 4 * nb
     out = np.zeros((nd, nb, nd, nb), dtype=complex)
     placed = out.transpose(0, 2, 3, 1)
-    prod, spec = _work_buffers(len(runs[0][1]) * nb * K)  # the first run is the longest
+    prod, spec = _work_buffers(len(runs[0][1]) * nb * 4 * nb)  # the first run is the longest
     for rows, tgt, src, fold in runs:
-        n = len(tgt)
-        dpow = np.multiply(s, logd[rows], out=spec[:n * K].reshape(n, K))
-        np.exp(dpow, out=dpow)
-        vals = np.multiply(dpow[:, None, :], basis[rows],
-                           out=prod[:n * nb * K].reshape(n, nb, K))
-        taylor = np.matmul(vals.reshape(len(fold), -1, K), fold,
-                           out=spec[:n * nb * nb].reshape(len(fold), -1, nb))
-        placed[tgt, src] = taylor.reshape(n, nb, nb)
+        placed[tgt, src] = _run_taylor(s, logd[rows], basis[rows], fold, prod, spec)
     M = out.reshape(nd * nb, nd * nb)
     return M if letters is None else _lift(M, letters)
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), built once and read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def fredholm_det(M: np.ndarray) -> complex:
     """det(identity - truncated matrix); converges super-exponentially in
-    lmax to the Fredholm determinant."""
-    return complex(np.linalg.det(np.eye(M.shape[0]) - M))
+    lmax to the Fredholm determinant.  For a stack of sector matrices
+    (`assemble` with sectors=True) it is the product of their
+    determinants; a stack that repeats one matrix (stride 0) takes one LU,
+    squared."""
+    eye = _identity(M.shape[-1])
+    if M.ndim == 2:
+        return complex(np.linalg.det(eye - M))
+    if M.strides[0] == 0:
+        return complex(np.linalg.det(eye - M[0])) ** 2
+    return complex(np.prod(np.linalg.det(eye - M)))
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
@@ -306,6 +457,7 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 
 
 def spectral_radius(M: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a matrix, or over a stack of them."""
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 

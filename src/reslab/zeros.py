@@ -95,6 +95,8 @@ def euler_product(data: sk.SchottkyData, s: complex, twist: TwistSpec,
 def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callable:
     """Cached evaluator of s -> det(I - L_{rho,s}) at the given truncation.
 
+    The trivial twist of a group with the disc involution takes the product
+    of its two sector determinants (`transfer.assemble` with sectors=True).
     A regular twist of G = Z/N_1 x ... x Z/N_m splits into the characters
     theta = alpha/N, so its determinant is the product of theirs: one
     untwisted matrix per s, then one LU per character."""
@@ -115,7 +117,8 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
             return out
     else:
         def value(s: complex) -> complex:
-            return transfer.fredholm_det(transfer.assemble(data, s, twist, lmax))
+            return transfer.fredholm_det(
+                transfer.assemble(data, s, twist, lmax, sectors=True))
 
     def det(s: complex) -> complex:
         s = complex(s)

@@ -1,6 +1,7 @@
 """Reference constructions that the tests compare the program against:
 transfer blocks built block by block from the definitions, central-difference
-Newton for zero refinement, and a quadrature Fourier transform."""
+Newton for zero refinement, a quadrature Fourier transform, and the
+determinant of one full matrix."""
 
 import numpy as np
 
@@ -86,3 +87,8 @@ def fourier_grid(tf, xi):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     h = tf.x[1] - tf.x[0]
     return np.array([np.sum(tf.values * np.exp(-1j * w * tf.x)) * h for w in xi])
+
+
+def fredholm_det(M):
+    """det(I - M) of one matrix, with the identity built by np.eye."""
+    return complex(np.linalg.det(np.eye(M.shape[0]) - M))

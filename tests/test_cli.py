@@ -253,8 +253,9 @@ def test_config_experiment_mismatch(tmp_path, capsys):
 def test_zeta_scan_thread_determinism(tmp_path, capsys):
     outputs = {}
     for threads in (1, 2, 8):
-        # cold table cache: the pool's threads race to build the tables
+        # cold table caches: the pool's threads race to build the tables
         transfer._sample_tables.cache_clear()
+        transfer._sector_plan.cache_clear()
         sub = tmp_path / f"t{threads}"
         sub.mkdir()
         code = run(["zeta-scan", "--preset", "symmetric3",

@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +12,7 @@ from reslab import schottky as sk
 from reslab import thermo, transfer, zeros
 from reslab.transfer import TwistSpec
 
+import oracles
 from oracles import kron_placement, scalar_block, source_unitaries
 
 
@@ -164,7 +167,8 @@ def test_regular_det_is_the_product_of_character_dets(sym3):
 
 def test_threads_assembling_at_once_match_a_serial_run():
     """Each thread works in its own buffers: eight threads assembling
-    different presets and sizes at once give the serial matrices exactly."""
+    different presets and sizes at once, full matrices and sector stacks,
+    give the serial matrices exactly."""
     jobs = [(name, lmax, s) for name in _PRESETS for lmax in (12, 32)
             for s in (complex(0.4, 2.0), 0.7)]
 
@@ -172,9 +176,11 @@ def test_threads_assembling_at_once_match_a_serial_run():
         name, lmax, s = job
         data = sk.preset(name)
         return [transfer.assemble(data, s, tw, lmax)
-                for tw in (TwistSpec.trivial(), _character(data))]
+                for tw in (TwistSpec.trivial(), _character(data))] + [
+                    transfer.assemble(data, s, TwistSpec.trivial(), lmax, sectors=True)]
 
     transfer._sample_tables.cache_clear()
+    transfer._sector_plan.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(build, jobs * 2))
     serial = [build(job) for job in jobs] * 2
@@ -407,3 +413,125 @@ def test_lefschetz_empty_for_cylinder_even_mix(cyl):
     # m=1: closed words exist for every N; sanity check trace at N=2
     res = transfer.operator_trace_check(cyl, complex(1.0), TwistSpec.trivial(), 16, 2)
     assert res < 1e-10
+
+
+# -- the disc involution J(z) = c0 - z and its two sectors ------------------
+
+_SPLIT = ("cylinder", "symmetric3", "sl2z-pair")
+
+
+def test_disc_involution_of_the_presets():
+    """sigma of each preset; sl2z-crossed has a symmetric disc set, but J
+    does not conjugate its generators to letters."""
+    got = {name: transfer._disc_involution(sk.preset(name)) for name in _PRESETS}
+    assert got == {"cylinder": (1, 0), "symmetric3": (3, 2, 1, 0),
+                   "sl2z-pair": (2, 3, 0, 1), "sl2z-crossed": None}
+
+
+def test_sector_determinant_matches_the_full_matrix():
+    """The product of the two sector determinants is det(I - M) of the full
+    matrix to 1e-12 relative, at 20 random s per group and lmax; the
+    sectors are half the size of M."""
+    rng = np.random.default_rng(12)
+    for name in _SPLIT:
+        data = sk.preset(name)
+        for lmax in (8, 16, 32):
+            n = 2 * data.m * (lmax + 1)
+            for _ in range(20):
+                s = complex(rng.uniform(-0.5, 1.5), rng.uniform(-10.0, 10.0))
+                stack = transfer.assemble(data, s, TwistSpec.trivial(), lmax, sectors=True)
+                assert stack.shape == (2, n // 2, n // 2)
+                full = oracles.fredholm_det(transfer.assemble(data, s, TwistSpec.trivial(), lmax))
+                assert abs(transfer.fredholm_det(stack) - full) <= 1e-12 * abs(full), (name, lmax, s)
+
+
+def _moved_cylinder():
+    cyl = sk.preset("cylinder")
+    left, right = cyl.discs
+    moved = sk.Disc(right.center + 1e-3, right.radius)
+    return sk.SchottkyData(m=1, discs=(left, moved), generators=cyl.generators)
+
+
+def test_groups_without_the_involution_keep_todays_determinant():
+    """sl2z-crossed and a cylinder with one disc moved by 1e-3 take no split:
+    sectors=True returns the full matrix, and its determinant is the np.eye
+    oracle's bit for bit."""
+    for data in (sk.preset("sl2z-crossed"), _moved_cylinder()):
+        assert transfer._disc_involution(data) is None
+        for lmax in (8, 16):
+            for s in (0.45, complex(0.3, 1.7)):
+                full = transfer.assemble(data, s, TwistSpec.trivial(), lmax)
+                got = transfer.assemble(data, s, TwistSpec.trivial(), lmax, sectors=True)
+                assert np.array_equal(got, full)
+                assert transfer.fredholm_det(got) == oracles.fredholm_det(full)
+
+
+def test_twisted_matrices_ignore_the_sector_flag(sym3):
+    s = complex(0.4, 1.1)
+    for twist in (_character(sym3), TwistSpec.regular((2, 1))):
+        assert np.array_equal(transfer.assemble(sym3, s, twist, 12, sectors=True),
+                              transfer.assemble(sym3, s, twist, 12))
+
+
+def test_group_file_with_the_involution_gets_the_split(sym3):
+    copy = sk.load_group_json(json.dumps(sk.group_to_json(sym3)))
+    assert copy is not sym3
+    assert transfer._disc_involution(copy) == (3, 2, 1, 0)
+    s = complex(0.3, 2.0)
+    stack = transfer.assemble(copy, s, TwistSpec.trivial(), 16, sectors=True)
+    assert stack.shape == (2, 34, 34)
+    full = oracles.fredholm_det(transfer.assemble(copy, s, TwistSpec.trivial(), 16))
+    assert abs(transfer.fredholm_det(stack) - full) <= 1e-12 * abs(full)
+
+
+def test_cylinder_sectors_are_one_matrix_squared(cyl):
+    """No pair of the cylinder crosses sectors, so M+ = M-: the stack
+    repeats one matrix, and its determinant is that matrix's squared."""
+    for lmax in (8, 16, 32):
+        stack = transfer.assemble(cyl, complex(0.2, 3.0), TwistSpec.trivial(), lmax,
+                                  sectors=True)
+        assert np.array_equal(stack[0], stack[1])
+        assert stack.strides[0] == 0
+        half = oracles.fredholm_det(stack[0])
+        assert transfer.fredholm_det(stack) == half * half
+
+
+def test_sector_spectral_radius_matches_the_full_one():
+    for name in _SPLIT:
+        data = sk.preset(name)
+        for lmax in (8, 16, 32):
+            for sigma in (0.0, 0.4, 1.0):
+                full = transfer.spectral_radius(
+                    transfer.assemble(data, sigma, TwistSpec.trivial(), lmax))
+                split = transfer.spectral_radius(
+                    transfer.assemble(data, sigma, TwistSpec.trivial(), lmax, sectors=True))
+                assert abs(split - full) <= 1e-13 * full, (name, lmax, sigma)
+
+
+def test_two_dimensional_fredholm_det_is_the_np_eye_oracle_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for name in _PRESETS:
+        data = sk.preset(name)
+        for twist in _twists(data, rng):
+            for s in (0.45, complex(0.3, 1.7)):
+                M = transfer.assemble(data, s, twist, 12)
+                assert transfer.fredholm_det(M) == oracles.fredholm_det(M), (name, twist.kind)
+
+
+def test_sector_plan_calls_no_public_function(monkeypatch):
+    """Building the sector tables calls no public function of transfer or
+    schottky, so that a wrapper that counts such calls counts the same
+    whether or not the tables were cached."""
+    groups = [sk.preset(name) for name in _PRESETS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("public function called")
+
+    for mod in (transfer, sk):
+        for name in mod.__all__:
+            if inspect.isfunction(getattr(mod, name)):
+                monkeypatch.setattr(mod, name, refuse)
+    transfer._sample_tables.cache_clear()
+    transfer._sector_plan.cache_clear()
+    plans = [transfer._sector_plan(data, 12) for data in groups]
+    assert [plan is None for plan in plans] == [False, False, False, True]

@@ -134,14 +134,18 @@ def test_secant_matches_newton_with_fewer_determinants(cyl):
 
 def test_refine_spends_at_most_its_budget(sym3, delta3):
     """Two starts plus 150 steps at most: from the zero-free start, and from
-    delta for the character (1/2, 0) at lmax 10, where |det| is about 0.98
-    and the secant runs out of steps."""
+    0.2515811641598768 for the character (1/2, 0) at lmax 10, where |det| is
+    about 0.98 and the secant runs out of steps.  That start is delta of
+    the full untwisted matrix; the sector delta, 5e-16 below it, starts a
+    trajectory that reaches the zero 0.17 + 0.955i instead, so the start is
+    given as a number: the path of 150 unit-capped steps follows its last
+    bit."""
     det, calls = _counting(zeros.make_det(sym3, TRIV, 16))
     zeros.refine_zero(sym3, TRIV, complex(delta3 + 2.0, 0.3), det=det)
     assert len(calls) <= 152
     half = TwistSpec.abelian((0.5, 0.0))
     det, calls = _counting(zeros.make_det(sym3, half, 10))
-    _, _, ok = zeros.refine_zero(sym3, half, complex(delta3), det=det)
+    _, _, ok = zeros.refine_zero(sym3, half, complex(0.2515811641598768), det=det)
     assert not ok
     assert len(calls) == 152
 
