@@ -62,10 +62,6 @@ def character_of(quotient: AbelianQuotient, alpha: Sequence[int],
     return cmath.exp(2j * math.pi * phase)
 
 
-def _dist_to_lattice(theta: Sequence[float]) -> float:
-    return max(abs(t - round(t)) for t in theta)
-
-
 def cover_zeta_zeros(data: SchottkyData, quotient: AbelianQuotient,
                      rectangle, lmax: int = 16) -> dict:
     """zeros.resonances for every character twist; the multiset union over
@@ -91,31 +87,67 @@ def _theta_det_factory(data: SchottkyData, s: complex, lmax: int) -> Callable:
     return det
 
 
+def _character_involution(data: SchottkyData) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The map theta -> pi.theta that the disc involution sigma of
+    `transfer._disc_involution` induces on characters, as (index, sign)
+    with (pi.theta)_i = sign_i theta_{index_i}: index_i = sigma(i) mod m,
+    and sign_i = -1 when sigma(i) is an inverse letter.  Then det_{pi.theta}
+    = det_theta at every s.  None for a group without the involution."""
+    sigma = transfer._disc_involution(data)
+    if sigma is None:
+        return None
+    half = np.array(sigma[:data.m])
+    return half % data.m, np.where(half < data.m, 1, -1)
+
+
 def nonvanishing_scan(data: SchottkyData, grid_n: int = 64,
                       delta: Optional[float] = None, lmax: int = 16,
                       exclusion: float = 0.05) -> dict:
-    """Scan |L(delta, theta)| over the uniform grid on [0,1)^m.
+    """Scan |L(delta, theta)| over the uniform grid theta = k / grid_n on
+    [0,1)^m, at a real delta.
 
     Returns the minimum modulus over grid points at sup-distance >= exclusion
     from the integer lattice, its argmin, and the residual at theta = 0.
+
+    The data of every group are real, so M(conj s) = conj M(s) and, at real
+    delta, |L(delta, theta)| = |L(delta, -theta)|; a group with the disc
+    involution also has L(s, pi.theta) = L(s, theta) (`_character_involution`).
+    One determinant is taken per orbit of grid points under these maps (at
+    most 4 points), at the orbit's first point in scan order
+    (itertools.product order).  The argmin is the first grid point in scan
+    order at which the minimum is attained: the first member of the
+    minimising orbit.  A complex delta raises TypeError, and a grid with no
+    point at distance >= exclusion raises ValueError.
     """
     if delta is None:
         delta = zeros._delta_of(data, lmax)
+    if np.iscomplexobj(delta):
+        raise TypeError(f"delta must be real, got {delta!r}")
+    delta = float(delta)
+    m, n = data.m, grid_n
+    # grid indices in scan order; the code of k, its place in that order,
+    # is k read in base n
+    k = np.indices((n,) * m).reshape(m, -1).T
+    k = k[np.minimum(k, n - k).max(axis=1) / n >= exclusion]
+    if not len(k):
+        raise ValueError(f"no point of the {grid_n}^{m} grid lies at distance "
+                         f">= {exclusion} from the integer lattice")
+    images = [k, -k % n]
+    involution = _character_involution(data)
+    if involution is not None:
+        index, sign = involution
+        images += [sign * k[:, index] % n, -sign * k[:, index] % n]
+    weights = n ** np.arange(m - 1, -1, -1)
+    _, first = np.unique(np.min([im @ weights for im in images], axis=0),
+                         return_index=True)
     det = _theta_det_factory(data, complex(delta), lmax)
-    axes = [np.arange(grid_n) / grid_n for _ in range(data.m)]
-    best = math.inf
-    argmin = None
-    for theta in _iproduct(*axes):
-        if _dist_to_lattice(theta) < exclusion:
-            continue
-        v = abs(det(theta))
-        if v < best:
-            best, argmin = v, theta
+    values = [abs(det(tuple(rep / n))) for rep in k[first]]
+    best = int(np.argmin(values))
     return {
         "delta": delta,
-        "min_offlattice": best,
-        "argmin": argmin,
-        "residual_at_zero": abs(det((0.0,) * data.m)),
+        "min_offlattice": values[best],
+        "argmin": tuple((k[first[best]] / n).tolist()),
+        "residual_at_zero": abs(det((0.0,) * m)),
         "grid_n": grid_n,
         "exclusion": exclusion,
     }

@@ -242,6 +242,7 @@ def _sample_tables(data: sk.SchottkyData, lmax: int):
     return logd, basis, tuple(pairs), runs
 
 
+@functools.lru_cache(maxsize=32)
 def _disc_involution(data: sk.SchottkyData) -> Optional[tuple[int, ...]]:
     """The disc permutation sigma of the involution J(z) = c0 - z, with c0
     the sum of the smallest and largest disc centres, or None when J is not
@@ -250,7 +251,8 @@ def _disc_involution(data: sk.SchottkyData) -> Optional[tuple[int, ...]]:
     commutes with the letter inversion inv, and every generator satisfies
     J g_a J = +-g_pi(a) with pi(a) = inv(sigma(inv(a))) = sigma(a).  Then
     F -> F o J commutes with every L_s.  Geometry only: nothing here
-    assembles a matrix."""
+    assembles a matrix.  Cached per group, so the sector plans and the
+    character scans of `abelian` share one sigma."""
     nd = 2 * data.m
     centres = np.array([d.center for d in data.discs])
     radii = np.array([d.radius for d in data.discs])

@@ -1,11 +1,15 @@
 """Reference constructions that the tests compare the program against:
 transfer blocks built block by block from the definitions, central-difference
-Newton for zero refinement, a quadrature Fourier transform, and the
-determinant of one full matrix."""
+Newton for zero refinement, a quadrature Fourier transform, the
+determinant of one full matrix, and the character scan with one
+determinant per grid point."""
+
+import math
+from itertools import product
 
 import numpy as np
 
-from reslab import transfer, zeros
+from reslab import abelian, transfer, zeros
 
 
 def scalar_block(data, s, lmax, i, j):
@@ -92,3 +96,22 @@ def fourier_grid(tf, xi):
 def fredholm_det(M):
     """det(I - M) of one matrix, with the identity built by np.eye."""
     return complex(np.linalg.det(np.eye(M.shape[0]) - M))
+
+
+def full_grid_scan(data, grid_n, delta, lmax=16, exclusion=0.05):
+    """abelian.nonvanishing_scan with one determinant at every grid point
+    at sup-distance >= exclusion from the integer lattice, in
+    itertools.product order; the argmin is the first point of strictly
+    smallest modulus."""
+    det = abelian._theta_det_factory(data, complex(delta), lmax)
+    axes = [np.arange(grid_n) / grid_n for _ in range(data.m)]
+    best = math.inf
+    argmin = None
+    for theta in product(*axes):
+        if max(abs(t - round(t)) for t in theta) < exclusion:
+            continue
+        v = abs(det(theta))
+        if v < best:
+            best, argmin = v, theta
+    return {"min_offlattice": best, "argmin": argmin,
+            "residual_at_zero": abs(det((0.0,) * data.m))}

@@ -7,7 +7,7 @@ from reslab import abelian, schottky as sk, thermo, transfer, zeros
 from reslab.abelian import AbelianQuotient
 from reslab.transfer import TwistSpec
 
-from oracles import kron_placement, source_unitaries
+from oracles import full_grid_scan, kron_placement, source_unitaries
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +95,82 @@ def test_nonvanishing_scan(sym3, delta3):
     assert scan["min_offlattice"] > 1e3 * scan["residual_at_zero"]
 
 
-def test_modulus_field_symmetry(sym3, delta3):
-    det = abelian._theta_det_factory(sym3, complex(delta3), 12)
+@pytest.mark.parametrize("kwargs", [{"grid_n": 0}, {"grid_n": 1},
+                                    {"grid_n": 2, "exclusion": 0.6}])
+def test_scan_with_no_off_lattice_point_is_rejected(sym3, delta3, kwargs):
+    with pytest.raises(ValueError):
+        abelian.nonvanishing_scan(sym3, delta=delta3, lmax=8, **kwargs)
+
+
+def test_scan_rejects_a_complex_delta(sym3, delta3):
+    for delta in (complex(delta3, 0.0), np.complex128(delta3)):
+        with pytest.raises(TypeError):
+            abelian.nonvanishing_scan(sym3, grid_n=4, delta=delta, lmax=8)
+
+
+# The letter permutation of each group's disc involution, written out on
+# characters: symmetric3 swaps and negates, sl2z-pair and the cylinder negate.
+_PI = {"cylinder": lambda k: (-k[0],), "symmetric3": lambda k: (-k[1], -k[0]),
+       "sl2z-pair": lambda k: (-k[0], -k[1]), "sl2z-crossed": None}
+
+
+@pytest.mark.parametrize("name, grid_n, orbits", [
+    ("symmetric3", 6, 12), ("symmetric3", 7, 15), ("symmetric3", 8, 20),
+    ("symmetric3", 9, 24), ("symmetric3", 16, 72), ("sl2z-pair", 8, 33),
+    ("sl2z-crossed", 3, 40), ("cylinder", 9, 4)])
+def test_scan_matches_the_full_grid_oracle(name, grid_n, orbits, monkeypatch):
+    """Same minimum and residual as one determinant per grid point, to
+    1e-12 relative; the argmin is the first grid point, in scan order, of
+    the oracle argmin's orbit under theta -> -theta and the involution's
+    letter permutation; one determinant per orbit, plus one at theta = 0."""
+    data = sk.preset(name)
+    delta = zeros._delta_of(data, 16)
+    want = full_grid_scan(data, grid_n, delta)
+    calls = []
+    fredholm_det = transfer.fredholm_det
+
+    def counting(M):
+        calls.append(M.shape)
+        return fredholm_det(M)
+
+    monkeypatch.setattr(transfer, "fredholm_det", counting)
+    got = abelian.nonvanishing_scan(data, grid_n=grid_n, delta=delta)
+    assert len(calls) == orbits + 1
+    for key in ("min_offlattice", "residual_at_zero"):
+        assert abs(got[key] - want[key]) <= 1e-12 * want[key], key
+    k = tuple(round(t * grid_n) for t in want["argmin"])
+    orbit = {k, tuple(-c for c in k)}
+    if _PI[name] is not None:
+        orbit |= {_PI[name](c) for c in orbit}
+    first = min(tuple(c % grid_n for c in member) for member in orbit)
+    assert got["argmin"] == tuple(c / grid_n for c in first)
+
+
+def test_modulus_field_symmetry():
+    """The identities the scan's orbits rest on, at random complex s and
+    theta, to 1e-12 relative: det_{pi.theta}(s) = det_theta(s), pi the
+    letter permutation of the disc involution, for the groups that have
+    one, and det_{-theta}(conj s) = conj det_theta(s) for every preset, as
+    all have real data.  At real s, |det| is thus constant on orbits."""
     rng = np.random.default_rng(2)
-    for _ in range(8):
-        theta = rng.uniform(0, 1, size=2)
-        a = abs(det(tuple(theta)))
-        b = abs(det(tuple((-theta) % 1.0)))
-        assert abs(a - b) < 1e-10
+    for name, pi in _PI.items():
+        data = sk.preset(name)
+        involution = abelian._character_involution(data)
+        assert (involution is None) == (pi is None)
+        if pi is not None:
+            index, sign = involution
+            k = np.arange(1, data.m + 1)
+            assert tuple(sign * k[index]) == pi(k)
+        for _ in range(3):
+            s = complex(rng.uniform(0.0, 1.0), rng.uniform(-3.0, 3.0))
+            det = abelian._theta_det_factory(data, s, 12)
+            mirror = abelian._theta_det_factory(data, s.conjugate(), 12)
+            for _ in range(4):
+                theta = rng.uniform(0.0, 1.0, size=data.m)
+                v = det(tuple(theta))
+                assert abs(mirror(tuple(-theta)) - v.conjugate()) <= 1e-12 * abs(v), name
+                if pi is not None:
+                    assert abs(det(pi(theta)) - v) <= 1e-12 * abs(v), name
 
 
 def test_theta_det_equals_twisted_placement():

@@ -421,11 +421,15 @@ _SPLIT = ("cylinder", "symmetric3", "sl2z-pair")
 
 
 def test_disc_involution_of_the_presets():
-    """sigma of each preset; sl2z-crossed has a symmetric disc set, but J
-    does not conjugate its generators to letters."""
+    """sigma of each preset, computed once per group; sl2z-crossed has a
+    symmetric disc set, but J does not conjugate its generators to
+    letters."""
     got = {name: transfer._disc_involution(sk.preset(name)) for name in _PRESETS}
     assert got == {"cylinder": (1, 0), "symmetric3": (3, 2, 1, 0),
                    "sl2z-pair": (2, 3, 0, 1), "sl2z-crossed": None}
+    # computed once per group: a second call returns the cached tuple
+    for name in _PRESETS:
+        assert transfer._disc_involution(sk.preset(name)) is got[name]
 
 
 def test_sector_determinant_matches_the_full_matrix():
