@@ -260,6 +260,11 @@ def _run_cover_abelian(args) -> int:
         per_char = abelian.cover_zeta_zeros(data, quotient, rect, lmax=lmax)
     except ValueError as exc:
         raise ValidationFailure(f"abelian: {exc}")
+    except zeros.ContourError as exc:
+        raise NonConvergence(f"zeros: {exc}")
+    unresolved = {alpha: rs.unresolved for alpha, rs in per_char.items() if rs.unresolved}
+    if unresolved:
+        raise NonConvergence(f"zeros: unresolved cells {unresolved}")
     rows = []
     for alpha in sorted(per_char):
         for z, mult in per_char[alpha].zeros:
@@ -284,6 +289,8 @@ def _run_equidist(args) -> int:
     axis = _number(args, "axis", 0, int)
     if fine < 1:
         raise ValidationFailure(f"fine must be >= 1, got {fine}")
+    if min(Ns) < 1:
+        raise ValidationFailure(f"covers must be >= 1, got {min(Ns)}")
     if not 0 <= axis < data.m:
         raise ValidationFailure(f"axis must lie in 0..{data.m - 1}, got {axis}")
     seq = []

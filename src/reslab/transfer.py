@@ -10,21 +10,25 @@ because every summand is holomorphic on a strictly larger disc.  Everything
 in a block that does not depend on s (sample points, log gamma', basis values
 at the images, scales) is built once per (group, lmax) and cached.
 
-`assemble` builds the untwisted matrix in one engine: a new s costs one
-exponential and one matrix product with the folded truncated DFT per run of
-target discs (`_run_taylor`), computed in this thread's work buffers and
-written straight into the matrix.  Every other twist is that matrix lifted
-by `_lift`, which places the unitary of each source disc's connecting letter
+`assemble` builds the untwisted matrix in one engine: `_plan` caches the
+samples of every (target, source) pair once per (group, lmax), and
+`_place` turns them into blocks at a new s with one exponential and one
+matrix product with the folded truncated DFT per run of target discs
+(`_run_taylor`), computed in this thread's work buffers and written
+straight into the matrix.  Every other twist is that matrix lifted by
+`_lift`, which places the unitary of each source disc's connecting letter
 on its columns.  `assemble_blocks` is a view of the untwisted matrix, block
 by block.
 
 A group whose discs and generators are symmetric under J(z) = c0 - z
 (cylinder, symmetric3, sl2z-pair, or any group file with that symmetry) has
 an untwisted operator that commutes with F -> F o J.  Asked for its sectors,
-`assemble` runs the same engine over half the pairs and returns the two
-half-size matrices of the +-1 eigenspaces, whose determinants multiply to
-the full one (Borthwick-Weich, J. Spectral Theory 6, 2016); when the two are
-one matrix, as for the cylinder, `fredholm_det` factors it once and squares.
+`assemble` runs the same plan and placement over half the pairs and returns
+the two half-size matrices of the +-1 eigenspaces, whose determinants
+multiply to the full one (Borthwick-Weich, J. Spectral Theory 6, 2016); when
+the two are one matrix, as for the cylinder, `fredholm_det` factors it once
+and squares.  The whole matrix is the unsplit case of that plan: its disc
+permutation is the identity, so every disc is a representative.
 """
 
 from __future__ import annotations
@@ -204,44 +208,6 @@ def _pair_samples(data: sk.SchottkyData, lmax: int, targets: Sequence[int]):
     return logd, basis, pairs
 
 
-def _run_rows(data: sk.SchottkyData, lmax: int, targets: Sequence[int]):
-    """The runs over targets laid out as by `_pair_samples`: consecutive
-    targets whose samples fit in _RUN_BYTES, each as (pair rows, folded
-    DFTs of its targets).  The folded DFTs are the one table the targets
-    share with a leading axis of 1, so that such a run is a single
-    product, or the read-only stack of one table per target."""
-    per = 2 * data.m - 1
-    nb = lmax + 1
-    per_run = max(1, _RUN_BYTES // (per * nb * 4 * nb * np.dtype(complex).itemsize))
-    for first in range(0, len(targets), per_run):
-        batch = targets[first:first + per_run]
-        tables = [_folded_dft(data.discs[i].radius, lmax) for i in batch]
-        if all(f is tables[0] for f in tables):
-            fold = tables[0][None]
-        else:
-            fold = np.stack(tables)
-            fold.setflags(write=False)
-        yield slice(first * per, (first + len(batch)) * per), fold
-
-
-@functools.lru_cache(maxsize=32)
-def _sample_tables(data: sk.SchottkyData, lmax: int):
-    """The s-independent parts of every admissible block, built once per
-    (group, lmax) by `_pair_samples` over all 2m target discs (the 2m-1
-    pairs of target i are rows i*(2m-1) .. (i+1)*(2m-1)-1): log gamma'
-    (pairs, K), basis values (pairs, lmax+1, K), the (target, source)
-    pairs, and the runs of `assemble` from `_run_rows`, each as (pair rows,
-    target and source index of each pair, folded DFTs)."""
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
-    logd, basis, pairs = _pair_samples(data, lmax, range(2 * data.m))
-    for arr in (logd, basis):
-        arr.setflags(write=False)
-    runs = tuple((rows, *(np.array(ix) for ix in zip(*pairs[rows])), fold)
-                 for rows, fold in _run_rows(data, lmax, range(2 * data.m)))
-    return logd, basis, tuple(pairs), runs
-
-
 @functools.lru_cache(maxsize=32)
 def _disc_involution(data: sk.SchottkyData) -> Optional[tuple[int, ...]]:
     """The disc permutation sigma of the involution J(z) = c0 - z, with c0
@@ -251,7 +217,7 @@ def _disc_involution(data: sk.SchottkyData) -> Optional[tuple[int, ...]]:
     commutes with the letter inversion inv, and every generator satisfies
     J g_a J = +-g_pi(a) with pi(a) = inv(sigma(inv(a))) = sigma(a).  Then
     F -> F o J commutes with every L_s.  Geometry only: nothing here
-    assembles a matrix.  Cached per group, so the sector plans and the
+    assembles a matrix.  Cached per group, so the split plans and the
     character scans of `abelian` share one sigma."""
     nd = 2 * data.m
     centres = np.array([d.center for d in data.discs])
@@ -278,31 +244,39 @@ def _disc_involution(data: sk.SchottkyData) -> Optional[tuple[int, ...]]:
     return tuple(sigma)
 
 
-@functools.lru_cache(maxsize=32)
-def _sector_plan(data: sk.SchottkyData, lmax: int):
-    """The sector tables of a group with the disc involution J, or None.
+@functools.lru_cache(maxsize=64)
+def _plan(data: sk.SchottkyData, lmax: int, split: bool):
+    """The s-independent tables of the untwisted matrix, built once per
+    (group, lmax, split); None when split is asked of a group without the
+    disc involution J.
 
-    In the Bergman basis F -> F o J is the signed permutation P with
+    With split, sigma is the disc permutation of J (`_disc_involution`).  In
+    the Bergman basis F -> F o J is the signed permutation P with
     (Pa)_{i,l} = (-1)^l a_{sigma(i),l}, and P M P = M.  On the +-1
     eigenspaces of P, M acts in the coordinates of one representative disc
-    i < sigma(i) of each orbit as M+- = X +- Y, with X[i, c] = M[i, c] and
+    i <= sigma(i) of each orbit as M+- = X +- Y, with X[i, c] = M[i, c] and
     Y[i, c] = M[i, sigma(c)] D, D = diag((-1)^l), over representatives i
-    and c; so det(I - M) = det(I - M+) det(I - M-).
+    and c; so det(I - M) = det(I - M+) det(I - M-).  Without split, sigma
+    is the identity: every disc is a representative, X = M and Y is empty.
 
     Only the representatives' target rows are sampled (`_pair_samples`).
     A pair (i, j) whose source j is not a representative belongs to Y, in
     column sigma(j); its basis rows are scaled by (-1)^l here, so that its
-    block already carries D.  Returns (logd, basis, runs, reps, crossed):
-    the samples of these pairs; the runs of `_run_rows` over the
-    representatives, each as (pair rows, target and source column of each
-    pair, 0 or 1 for X or Y, folded DFTs); the number of representatives;
-    and whether Y has any block (if not, M+ = M- = X)."""
+    block already carries D.  The runs are consecutive representatives
+    whose samples fit in _RUN_BYTES, at least one each; a run's folded DFTs
+    are the one table its targets share with a leading axis of 1, so that
+    the run is a single product, or the read-only stack of one table per
+    target.  Returns (logd, basis, runs, reps, crossed, split): the samples
+    of these pairs; the runs, each as (pair rows, target and source column
+    of each pair, 0 or 1 for X or Y, folded DFTs); the number of
+    representatives; whether Y has any block; and split."""
     if lmax < 2:
         raise ValueError("lmax must be >= 2")
-    sigma = _disc_involution(data)
+    nd = 2 * data.m
+    sigma = _disc_involution(data) if split else tuple(range(nd))
     if sigma is None:
         return None
-    reps = [i for i in range(2 * data.m) if i < sigma[i]]
+    reps = [i for i in range(nd) if i <= sigma[i]]
     column = {}
     for k, i in enumerate(reps):
         column[i] = column[sigma[i]] = k
@@ -311,10 +285,22 @@ def _sector_plan(data: sk.SchottkyData, lmax: int):
     basis[half == 1] *= ((-1.0) ** np.arange(lmax + 1))[:, None]
     for arr in (logd, basis):
         arr.setflags(write=False)
-    runs = tuple((rows, *(np.array([column[d] for d in ix]) for ix in zip(*pairs[rows])),
-                  half[rows], fold)
-                 for rows, fold in _run_rows(data, lmax, reps))
-    return logd, basis, runs, len(reps), bool(half.any())
+    per = nd - 1
+    nb = lmax + 1
+    per_run = max(1, _RUN_BYTES // (per * nb * 4 * nb * np.dtype(complex).itemsize))
+    runs = []
+    for first in range(0, len(reps), per_run):
+        batch = reps[first:first + per_run]
+        tables = [_folded_dft(data.discs[i].radius, lmax) for i in batch]
+        if all(f is tables[0] for f in tables):
+            fold = tables[0][None]
+        else:
+            fold = np.stack(tables)
+            fold.setflags(write=False)
+        rows = slice(first * per, (first + len(batch)) * per)
+        runs.append((rows, *(np.array([column[d] for d in ix]) for ix in zip(*pairs[rows])),
+                     half[rows], fold))
+    return logd, basis, tuple(runs), len(reps), bool(half.any()), split
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
@@ -322,10 +308,10 @@ def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
     disc, source disc), 0-based, in target-major order; missing keys are
     structurally zero.  Block (i, j) has rows indexed by target degree and
     columns by source degree, and is a view of the matrix."""
-    pairs = _sample_tables(data, lmax)[2]
     M = assemble(data, s, TwistSpec.trivial(), lmax)
-    nb = lmax + 1
-    return {(i, j): M[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] for i, j in pairs}
+    nd, nb = 2 * data.m, lmax + 1
+    return {(i, j): M[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb]
+            for i in range(nd) for j in range(nd) if (j + data.m) % nd != i}
 
 
 @functools.lru_cache(maxsize=64)
@@ -376,60 +362,49 @@ def _run_taylor(s: complex, logd: np.ndarray, basis: np.ndarray,
     return taylor.reshape(n, nb, nb)
 
 
-def _sectors(plan, s: complex, nb: int) -> np.ndarray:
-    """The transposed sector matrices (M+^T, M-^T) of `_sector_plan` at s,
-    shape (2, h, h) with h = reps * nb.  Every block is placed in X^T or
-    Y^T through a (half, target, source, source degree, target degree)
-    view whose last axis is contiguous, then M+^T = X^T + Y^T and
-    M-^T = X^T - Y^T.  With Y empty the two sectors are one matrix,
-    returned as a view that repeats it (stride 0 on the sector axis)."""
-    logd, basis, runs, reps, crossed = plan
-    h = reps * nb
-    halves = np.zeros((1 + crossed, reps, nb, reps, nb), dtype=complex)
-    placed = halves.transpose(0, 3, 1, 2, 4)
+def _place(plan, s: complex, nb: int) -> np.ndarray:
+    """X and, when the plan has a crossed block, Y of a `_plan` at s, shape
+    (1 or 2, h, h) with h = reps * nb.  Every block is written through a
+    (half, target, source, source degree, target degree) view.  A split
+    plan's X and Y come out transposed, in which layout that view's last
+    axis is contiguous and the blocks are cheapest to write; the whole
+    matrix comes out untransposed, because `_lift` and the LU of a
+    C-contiguous matrix are faster than of its transpose."""
+    logd, basis, runs, reps, crossed, split = plan
+    out = np.zeros((1 + crossed, reps, nb, reps, nb), dtype=complex)
+    placed = out.transpose(0, 3, 1, 2, 4) if split else out.transpose(0, 1, 3, 4, 2)
     prod, spec = _work_buffers(len(runs[0][1]) * nb * 4 * nb)  # the first run is the longest
     for rows, tgt, src, half, fold in runs:
         placed[half, tgt, src] = _run_taylor(s, logd[rows], basis[rows], fold, prod, spec)
-    X = halves.reshape(-1, h, h)
-    if not crossed:
-        return np.ndarray((2, h, h), complex, X, strides=(0,) + X.strides[1:])
-    M = np.empty((2, h, h), dtype=complex)
-    np.add(X[0], X[1], out=M[0])
-    np.subtract(X[0], X[1], out=M[1])
-    return M
+    return out.reshape(-1, reps * nb, reps * nb)
 
 
 def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
              lmax: int, sectors: bool = False) -> np.ndarray:
     """Truncated matrix of the twisted operator at s with degrees 0..lmax.
 
-    The untwisted matrix is assembled run by run (`_run_taylor`: one
-    exponential, then one product with the folded DFT of the run's
-    targets), written through a (target, source, source degree, target
-    degree) view of the output; any other twist is then applied by `_lift`.
+    The untwisted matrix is the unsplit `_plan` placed at s (`_place`);
+    any other twist is then applied by `_lift`.
 
     With sectors=True, the untwisted operator of a group with the disc
     involution (`_disc_involution`) comes back as its two half-size sector
-    matrices instead (`_sector_plan`), stacked with shape (2, n/2, n/2) and
-    each transposed, which is the cheaper layout to write: their
-    determinants multiply to det(I - M) (`fredholm_det`) and their spectra
-    make up that of M.  Only the representatives' rows are assembled.  Any
-    other twist or group ignores the flag."""
+    matrices instead, M+- = X +- Y of the split `_plan`, stacked with shape
+    (2, n/2, n/2) and each transposed, which is the cheaper layout to
+    write: their determinants multiply to det(I - M) (`fredholm_det`) and
+    their spectra make up that of M.  Only the representatives' rows are
+    assembled.  When Y is empty the stack repeats X (stride 0 on the
+    sector axis).  Any other twist or group ignores the flag."""
     letters = None if twist.kind == "trivial" else twist.letter_matrices(data.m)
-    nb = lmax + 1
-    if sectors and letters is None:
-        plan = _sector_plan(data, lmax)
-        if plan is not None:
-            return _sectors(plan, s, nb)
-    logd, basis, _, runs = _sample_tables(data, lmax)
-    nd = 2 * data.m
-    out = np.zeros((nd, nb, nd, nb), dtype=complex)
-    placed = out.transpose(0, 2, 3, 1)
-    prod, spec = _work_buffers(len(runs[0][1]) * nb * 4 * nb)  # the first run is the longest
-    for rows, tgt, src, fold in runs:
-        placed[tgt, src] = _run_taylor(s, logd[rows], basis[rows], fold, prod, spec)
-    M = out.reshape(nd * nb, nd * nb)
-    return M if letters is None else _lift(M, letters)
+    split = _plan(data, lmax, True) if sectors and letters is None else None
+    X = _place(split or _plan(data, lmax, False), s, lmax + 1)
+    if split is None:
+        return X[0] if letters is None else _lift(X[0], letters)
+    if len(X) == 1:
+        return np.ndarray((2,) + X.shape[1:], complex, X, strides=(0,) + X.strides[1:])
+    M = np.empty((2,) + X.shape[1:], dtype=complex)
+    np.add(X[0], X[1], out=M[0])
+    np.subtract(X[0], X[1], out=M[1])
+    return M
 
 
 @functools.lru_cache(maxsize=16)

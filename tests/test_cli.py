@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from reslab import cli, thermo, transfer
+from reslab import cli, thermo, transfer, zeros
 from reslab import schottky as sk
 
 
@@ -254,8 +254,7 @@ def test_zeta_scan_thread_determinism(tmp_path, capsys):
     outputs = {}
     for threads in (1, 2, 8):
         # cold table caches: the pool's threads race to build the tables
-        transfer._sample_tables.cache_clear()
-        transfer._sector_plan.cache_clear()
+        transfer._plan.cache_clear()
         sub = tmp_path / f"t{threads}"
         sub.mkdir()
         code = run(["zeta-scan", "--preset", "symmetric3",
@@ -350,6 +349,40 @@ def test_cover_abelian_output(tmp_path, capsys):
     lines = (tmp_path / "cover_abelian.csv").read_text().splitlines()
     assert lines[0] == "alpha,re,im,multiplicity"
     assert any(ln.startswith("0|0,") for ln in lines[1:])
+
+
+def _contour_through_a_zero(data, twist, rect, lmax):
+    raise zeros.ContourError(complex(0.25, 0.02), 1e-15)
+
+
+def _one_unresolved_cell(data, twist, rect, lmax):
+    return zeros.ResonanceSet(rectangle=tuple(rect), zeros=((complex(0.25, 0.0), 1),),
+                              contour_count=1, residuals=(0.0,), unresolved=(tuple(rect),))
+
+
+@pytest.mark.parametrize("fake, message", [
+    (_contour_through_a_zero, "contour too close to zero"),
+    (_one_unresolved_cell, "unresolved cells"),
+], ids=["contour_error", "unresolved"])
+def test_cover_abelian_contour_failure_is_nonconvergence(fake, message, tmp_path, capsys,
+                                                         monkeypatch):
+    """A contour through a zero or a cell left unrefined ends in exit 3, as
+    under resonances, and no unrefined cell centre is written as a zero."""
+    monkeypatch.setattr(zeros, "resonances", fake)
+    assert run(["cover-abelian", "--preset", "symmetric3",
+                "--rect", "0.2,0.3,-0.02,0.02", "--moduli", "2,1",
+                "--lmax", "12", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "non-convergence" in err and message in err
+    assert not (tmp_path / "cover_abelian.csv").exists()
+
+
+@pytest.mark.parametrize("covers", ["0", "8,-1"])
+def test_equidist_cover_below_one_is_validation_failure(covers, tmp_path, capsys):
+    assert run(["equidist", "--preset", "sl2z-crossed", "--covers", covers,
+                "--axis", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "covers must be >= 1" in err and "Traceback" not in err
 
 
 def test_rerun_byte_identical(tmp_path, capsys):

@@ -56,7 +56,8 @@ def _dft_errors(data, s, lmax):
     """Max-entry errors of `assemble` and of the FFT recipe (fft, keep the
     first lmax+1 outputs, divide by K and rho^l, scale) against the same
     formula in long double, all from the cached samples logd and basis."""
-    logd, basis, pairs, _ = transfer._sample_tables(data, lmax)
+    logd, basis, runs, *_ = transfer._plan(data, lmax, False)
+    pairs = [(i, j) for _, tgt, src, *_ in runs for i, j in zip(tgt, src)]
     nd, nb = 2 * data.m, lmax + 1
     K = 4 * nb
     ell = np.arange(nb)
@@ -111,8 +112,9 @@ def _twists(data, rng):
 
 def test_engine_matches_kronecker_placement_bit_for_bit():
     """`assemble` gives exactly the np.kron placement of the scalar blocks,
-    for the trivial twist, a character, a matrix twist and a regular twist
-    (the last two up to lmax 16, where their matrices stay small)."""
+    in a C-contiguous matrix, for the trivial twist, a character, a matrix
+    twist and a regular twist (the last two up to lmax 16, where their
+    matrices stay small)."""
     rng = np.random.default_rng(4)
     for name in _PRESETS:
         data = sk.preset(name)
@@ -123,6 +125,7 @@ def test_engine_matches_kronecker_placement_bit_for_bit():
                     expected = kron_placement(data, s, lmax, source_unitaries(data, twist))
                     got = transfer.assemble(data, s, twist, lmax)
                     assert np.array_equal(got, expected), (name, lmax, s, twist.kind)
+                    assert got.flags.c_contiguous, (name, lmax, s, twist.kind)
 
 
 def test_discs_of_two_radii_keep_their_own_tables():
@@ -134,7 +137,7 @@ def test_discs_of_two_radii_keep_their_own_tables():
     assert [d.radius for d in data.discs] == [1.0, 0.5, 1.0, 0.5]
     twists = _twists(data, np.random.default_rng(6))
     for lmax in (4, 16, 32):
-        runs = transfer._sample_tables(data, lmax)[3]
+        runs = transfer._plan(data, lmax, False)[2]
         tables = [table for *_, stacked in runs for table in stacked]  # one per disc
         assert np.array_equal(tables[0], tables[2]) and np.array_equal(tables[1], tables[3])
         assert not np.array_equal(tables[0], tables[1])
@@ -179,8 +182,7 @@ def test_threads_assembling_at_once_match_a_serial_run():
                 for tw in (TwistSpec.trivial(), _character(data))] + [
                     transfer.assemble(data, s, TwistSpec.trivial(), lmax, sectors=True)]
 
-    transfer._sample_tables.cache_clear()
-    transfer._sector_plan.cache_clear()
+    transfer._plan.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(build, jobs * 2))
     serial = [build(job) for job in jobs] * 2
@@ -466,7 +468,7 @@ def test_groups_without_the_involution_keep_todays_determinant():
             for s in (0.45, complex(0.3, 1.7)):
                 full = transfer.assemble(data, s, TwistSpec.trivial(), lmax)
                 got = transfer.assemble(data, s, TwistSpec.trivial(), lmax, sectors=True)
-                assert np.array_equal(got, full)
+                assert np.array_equal(got, full) and got.flags.c_contiguous
                 assert transfer.fredholm_det(got) == oracles.fredholm_det(full)
 
 
@@ -523,9 +525,10 @@ def test_two_dimensional_fredholm_det_is_the_np_eye_oracle_bit_for_bit():
 
 
 def test_sector_plan_calls_no_public_function(monkeypatch):
-    """Building the sector tables calls no public function of transfer or
-    schottky, so that a wrapper that counts such calls counts the same
-    whether or not the tables were cached."""
+    """Building the split and unsplit plans calls no public function of
+    transfer or schottky, so that a wrapper that counts such calls counts
+    the same whether or not the plans were cached.  The unsplit plan has
+    every disc as a representative and no block in Y."""
     groups = [sk.preset(name) for name in _PRESETS]
 
     def refuse(*args, **kwargs):
@@ -535,7 +538,10 @@ def test_sector_plan_calls_no_public_function(monkeypatch):
         for name in mod.__all__:
             if inspect.isfunction(getattr(mod, name)):
                 monkeypatch.setattr(mod, name, refuse)
-    transfer._sample_tables.cache_clear()
-    transfer._sector_plan.cache_clear()
-    plans = [transfer._sector_plan(data, 12) for data in groups]
+    transfer._plan.cache_clear()
+    plans = [transfer._plan(data, 12, True) for data in groups]
     assert [plan is None for plan in plans] == [False, False, False, True]
+    for data in groups:
+        logd, basis, runs, reps, crossed, split = transfer._plan(data, 12, False)
+        assert (reps, crossed, split) == (2 * data.m, False, False)
+        assert not any(half.any() for *_, half, _ in runs)
