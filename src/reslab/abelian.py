@@ -307,18 +307,21 @@ def equidistribution_experiment(data: SchottkyData,
                                 moduli_sequence: Sequence[Sequence[int]],
                                 window: Optional[tuple[float, float]] = None,
                                 bins: int = 12, lmax: int = 12,
-                                fine: int = 512) -> EquidistributionResult:
+                                fine: int = 512,
+                                axis: Optional[int] = None) -> EquidistributionResult:
     """Near-critical resonances of cyclic covers versus the pushforward of
     Lebesgue measure under the implicit curve.
 
-    The first modulus grows along the sequence; all characters are continued
-    from delta along the wrapped coordinate, and the Kolmogorov distance of
-    the empirical zero positions to the curve pushforward is reported."""
+    The modulus on the given axis grows along the sequence (by default the
+    axis of the largest last modulus); all characters are continued from
+    delta along that coordinate, and the Kolmogorov distance of the
+    empirical zero positions to the curve pushforward is reported."""
     delta = zeros._delta_of(data, max(lmax, 12))
     if window is None:
         window = (delta - 0.1, delta + 0.02)
     lo, hi = window
-    axis = int(np.argmax(moduli_sequence[-1]))
+    if axis is None:
+        axis = int(np.argmax(moduli_sequence[-1]))
     ref = _reference_samples(data, window, delta, lmax, axis, fine=fine)
     ks_list, hists, counts = [], [], []
     for moduli in moduli_sequence:

@@ -298,7 +298,7 @@ def _run_equidist(args) -> int:
         moduli = [1] * data.m
         moduli[axis] = int(N)
         seq.append(tuple(moduli))
-    res = abelian.equidistribution_experiment(data, seq, lmax=lmax, fine=fine)
+    res = abelian.equidistribution_experiment(data, seq, lmax=lmax, fine=fine, axis=axis)
     rows = []
     for (moduli, hist) in zip(res.moduli_sequence, res.histograms):
         for lo, hi, count in hist:

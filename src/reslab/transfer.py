@@ -12,13 +12,16 @@ at the images, scales) is built once per (group, lmax) and cached.
 
 `assemble` builds the untwisted matrix in one engine: `_plan` caches the
 samples of every (target, source) pair once per (group, lmax), and
-`_place` turns them into blocks at a new s with one exponential and one
-matrix product with the folded truncated DFT per run of target discs
+`_place` turns them into blocks at a 1-D array of s with one exponential
+over (s, pairs, samples), one product with the basis and one matrix
+product with the folded truncated DFT per run of target discs
 (`_run_taylor`), computed in this thread's work buffers and written
-straight into the matrix.  Every other twist is that matrix lifted by
-`_lift`, which places the unitary of each source disc's connecting letter
-on its columns.  `assemble_blocks` is a view of the untwisted matrix, block
-by block.
+straight into a (s, sectors, h, h) stack.  A scalar s is a batch of one;
+`_batch` says how many s fit in one pass, and `fredholm_det` takes the
+determinants of a whole batch in one stacked LU call.  Every other twist
+is that matrix lifted by `_lift`, which places the unitary of each source
+disc's connecting letter on its columns.  `assemble_blocks` is a view of
+the untwisted matrix, block by block.
 
 A group whose discs and generators are symmetric under J(z) = c0 - z
 (cylinder, symmetric3, sl2z-pair, or any group file with that symmetry) has
@@ -57,8 +60,9 @@ __all__ = [
 ]
 
 _SAMPLE_FRACTION = 0.75
-# Upper bound on the samples of one exponential and DFT run, in bytes; a
-# run always holds at least one target disc.
+# Upper bound on the samples of one exponential and DFT run, in bytes, over
+# every s of a batch; a run always holds at least one target disc and a
+# batch at least one s.
 _RUN_BYTES = 256 * 1024
 
 # Relative tolerance of the geometric symmetry test in `_disc_involution`.
@@ -328,13 +332,15 @@ def _lift(M: np.ndarray, letters: np.ndarray) -> np.ndarray:
     unitaries: every column of source disc j carries the unitary U_j of its
     connecting letter inv(j), so block (i, j) becomes the Kronecker product
     b (x) U_j, whose row r*d+p, column c*d+q holds b[r, c] * U_j[p, q].
-    For d = 1 that is one phase per column."""
+    For d = 1 that is one phase per column.  Leading axes of M (a batch
+    over s) are kept."""
     nd, d = letters.shape[:2]
-    nb = M.shape[0] // nd
+    nb = M.shape[-1] // nd
     if d == 1:
         return M * letters.reshape(nd)[_source_letters(nd, nb)]
     U = letters[_source_letters(nd, 1)].transpose(1, 0, 2)[:, :, None, :]
-    return (M.reshape(nd, nb, 1, nd, nb, 1) * U).reshape(nd * nb * d, -1)
+    lead = M.shape[:-2]
+    return (M.reshape(lead + (nd, nb, 1, nd, nb, 1)) * U).reshape(lead + (nd * nb * d, -1))
 
 
 def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,40 +352,63 @@ def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
     return bufs
 
 
-def _run_taylor(s: complex, logd: np.ndarray, basis: np.ndarray,
+def _run_taylor(s: np.ndarray, logd: np.ndarray, basis: np.ndarray,
                 fold: np.ndarray, prod: np.ndarray, spec: np.ndarray) -> np.ndarray:
-    """Taylor blocks (pair, source degree, target degree) of one run at s,
-    from its samples logd (pairs, K) and basis values (pairs, nb, K): one
-    exponential, then one product with the folded DFT of its targets, in
-    this thread's work buffers prod and spec.  The result is a view of
-    spec, valid until the next run."""
+    """Taylor blocks (s, pair, source degree, target degree) of one run at
+    the values s, shape (B, 1, 1), from its samples logd (pairs, K) and
+    basis values (pairs, nb, K): one exponential over (s, pairs, K), then
+    one product with the basis and one with the folded DFT of its targets,
+    in this thread's work buffers prod and spec.  A run whose targets share
+    one table is a single GEMM over every s.  The result is a view of spec,
+    valid until the next run."""
+    B = len(s)
     n, nb, K = basis.shape
-    dpow = np.multiply(s, logd, out=spec[:n * K].reshape(n, K))
+    dpow = np.multiply(s, logd, out=spec[:B * n * K].reshape(B, n, K))
     np.exp(dpow, out=dpow)
-    vals = np.multiply(dpow[:, None, :], basis, out=prod[:n * nb * K].reshape(n, nb, K))
-    taylor = np.matmul(vals.reshape(len(fold), -1, K), fold,
-                       out=spec[:n * nb * nb].reshape(len(fold), -1, nb))
-    return taylor.reshape(n, nb, nb)
+    vals = np.multiply(dpow[:, :, None], basis, out=prod[:B * n * nb * K].reshape(B, n, nb, K))
+    lead = (1, -1) if len(fold) == 1 else (B, len(fold), -1)
+    taylor = np.matmul(vals.reshape(*lead, K), fold,
+                       out=spec[:B * n * nb * nb].reshape(*lead, nb))
+    return taylor.reshape(B, n, nb, nb)
 
 
-def _place(plan, s: complex, nb: int) -> np.ndarray:
-    """X and, when the plan has a crossed block, Y of a `_plan` at s, shape
-    (1 or 2, h, h) with h = reps * nb.  Every block is written through a
-    (half, target, source, source degree, target degree) view.  A split
-    plan's X and Y come out transposed, in which layout that view's last
-    axis is contiguous and the blocks are cheapest to write; the whole
-    matrix comes out untransposed, because `_lift` and the LU of a
-    C-contiguous matrix are faster than of its transpose."""
+def _place(plan, s: np.ndarray, nb: int) -> np.ndarray:
+    """X and, when the plan has a crossed block, Y of a `_plan` at every
+    value of s, shape (B, 1, 1), as a stack (B, 1 or 2, h, h) with h = reps
+    * nb; `assemble` passes a scalar s as a batch of one.  The work buffers
+    hold every s of a run at once, so callers keep a batch within
+    `_batch`.  Every block is written through an (s, half, target, source,
+    source degree, target degree) view.  A split plan's X and Y come out
+    transposed, in which layout that view's last axis is contiguous and the
+    blocks are cheapest to write; the whole matrix comes out untransposed,
+    because `_lift` and the LU of a C-contiguous matrix are faster than of
+    its transpose."""
     logd, basis, runs, reps, crossed, split = plan
-    out = np.zeros((1 + crossed, reps, nb, reps, nb), dtype=complex)
-    placed = out.transpose(0, 3, 1, 2, 4) if split else out.transpose(0, 1, 3, 4, 2)
-    prod, spec = _work_buffers(len(runs[0][1]) * nb * 4 * nb)  # the first run is the longest
+    B = len(s)
+    out = np.zeros((B, 1 + crossed, reps, nb, reps, nb), dtype=complex)
+    placed = out.transpose(0, 1, 4, 2, 3, 5) if split else out.transpose(0, 1, 2, 4, 5, 3)
+    prod, spec = _work_buffers(B * len(runs[0][1]) * nb * 4 * nb)  # the first run is the longest
     for rows, tgt, src, half, fold in runs:
-        placed[half, tgt, src] = _run_taylor(s, logd[rows], basis[rows], fold, prod, spec)
-    return out.reshape(-1, reps * nb, reps * nb)
+        placed[:, half, tgt, src] = _run_taylor(s, logd[rows], basis[rows], fold, prod, spec)
+    return out.reshape(B, -1, reps * nb, reps * nb)
 
 
-def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
+def _plan_for(data: sk.SchottkyData, lmax: int, sectors: bool):
+    """The split plan when sectors are asked of a group with the disc
+    involution, the unsplit one otherwise."""
+    return (sectors and _plan(data, lmax, True)) or _plan(data, lmax, False)
+
+
+def _batch(data: sk.SchottkyData, lmax: int, sectors: bool) -> int:
+    """How many values of s one `_place` pass of the trivial twist takes
+    within _RUN_BYTES: as many as fit with the longest run (the first) of
+    the plan that `assemble` picks, at least one."""
+    runs = _plan_for(data, lmax, sectors)[2]
+    nb = lmax + 1
+    return max(1, _RUN_BYTES // (len(runs[0][1]) * nb * 4 * nb * np.dtype(complex).itemsize))
+
+
+def assemble(data: sk.SchottkyData, s: complex | np.ndarray, twist: TwistSpec,
              lmax: int, sectors: bool = False) -> np.ndarray:
     """Truncated matrix of the twisted operator at s with degrees 0..lmax.
 
@@ -393,18 +422,27 @@ def assemble(data: sk.SchottkyData, s: complex, twist: TwistSpec,
     write: their determinants multiply to det(I - M) (`fredholm_det`) and
     their spectra make up that of M.  Only the representatives' rows are
     assembled.  When Y is empty the stack repeats X (stride 0 on the
-    sector axis).  Any other twist or group ignores the flag."""
+    sector axis).  Any other twist or group ignores the flag.
+
+    s may also be a 1-D array, placed in one pass (keep it within
+    `_batch`): the result then has a leading axis over s and always a
+    sector axis, (len(s), 2, n/2, n/2) for sectors and (len(s), 1, n, n)
+    for the whole matrix, which is what `fredholm_det` takes as a batch."""
     letters = None if twist.kind == "trivial" else twist.letter_matrices(data.m)
-    split = _plan(data, lmax, True) if sectors and letters is None else None
-    X = _place(split or _plan(data, lmax, False), s, lmax + 1)
-    if split is None:
-        return X[0] if letters is None else _lift(X[0], letters)
-    if len(X) == 1:
-        return np.ndarray((2,) + X.shape[1:], complex, X, strides=(0,) + X.strides[1:])
-    M = np.empty((2,) + X.shape[1:], dtype=complex)
-    np.add(X[0], X[1], out=M[0])
-    np.subtract(X[0], X[1], out=M[1])
-    return M
+    plan = _plan_for(data, lmax, sectors and letters is None)
+    values = np.asarray(s, dtype=complex)
+    X = _place(plan, values.reshape(-1, 1, 1), lmax + 1)
+    if not plan[5]:
+        M = X if values.ndim else X[0, 0]
+        return M if letters is None else _lift(M, letters)
+    if X.shape[1] == 1:
+        B, _, h, _ = X.shape
+        M = np.ndarray((B, 2, h, h), complex, X, strides=(X.strides[0], 0, *X.strides[2:]))
+    else:
+        M = np.empty_like(X)
+        np.add(X[:, 0], X[:, 1], out=M[:, 0])
+        np.subtract(X[:, 0], X[:, 1], out=M[:, 1])
+    return M if values.ndim else M[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -415,18 +453,23 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def fredholm_det(M: np.ndarray) -> complex:
+def fredholm_det(M: np.ndarray) -> complex | list[complex]:
     """det(identity - truncated matrix); converges super-exponentially in
     lmax to the Fredholm determinant.  For a stack of sector matrices
     (`assemble` with sectors=True) it is the product of their
     determinants; a stack that repeats one matrix (stride 0) takes one LU,
-    squared."""
+    squared.  A batch from `assemble` at an array of s, shape (s, sectors,
+    h, h), gives the list of its determinants, with the LUs of the whole
+    batch in one stacked call."""
     eye = _identity(M.shape[-1])
     if M.ndim == 2:
         return complex(np.linalg.det(eye - M))
-    if M.strides[0] == 0:
-        return complex(np.linalg.det(eye - M[0])) ** 2
-    return complex(np.prod(np.linalg.det(eye - M)))
+    batch = M if M.ndim == 4 else M[None]
+    if batch.strides[1] == 0:
+        dets = [complex(v) ** 2 for v in np.linalg.det(eye - batch[:, 0])]
+    else:
+        dets = [complex(np.prod(row)) for row in np.linalg.det(eye - batch)]
+    return dets if M.ndim == 4 else dets[0]
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:

@@ -33,10 +33,12 @@ REFINE_MAX_DETS = 150
 
 
 class ContourError(RuntimeError):
-    """Raised when the contour passes too close to a zero."""
+    """Raised when the contour passes too close to a zero, or when winding
+    counts contradict each other."""
 
-    def __init__(self, point: complex, modulus: float):
-        super().__init__(f"contour too close to zero at {point} (|det|={modulus:.3e})")
+    def __init__(self, point: complex, modulus: float, message: Optional[str] = None):
+        super().__init__(message or
+                         f"contour too close to zero at {point} (|det|={modulus:.3e})")
         self.point = point
         self.modulus = modulus
 
@@ -99,7 +101,12 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
     of its two sector determinants (`transfer.assemble` with sectors=True).
     A regular twist of G = Z/N_1 x ... x Z/N_m splits into the characters
     theta = alpha/N, so its determinant is the product of theirs: one
-    untwisted matrix per s, then one LU per character."""
+    untwisted matrix per s, then one LU per character.
+
+    The closure of the trivial twist also has a method many(points), which
+    fills the cache at every new point in batched engine passes: `assemble`
+    and `fredholm_det` at up to `transfer._batch` values of s at once, each
+    value equal to the one det(s) gives."""
     cache: dict[complex, complex] = {}
     if twist.kind == "regular":
         if len(twist.moduli) != data.m:
@@ -126,6 +133,16 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
             cache[s] = value(s)
         return cache[s]
 
+    def many(points) -> None:
+        todo = [s for s in dict.fromkeys(map(complex, points)) if s not in cache]
+        step = transfer._batch(data, lmax, sectors=True)
+        for first in range(0, len(todo), step):
+            batch = todo[first:first + step]
+            cache.update(zip(batch, transfer.fredholm_det(
+                transfer.assemble(data, np.array(batch), twist, lmax, sectors=True))))
+
+    if twist.kind == "trivial":
+        det.many = many
     return det
 
 
@@ -135,7 +152,12 @@ def _winding(det: Callable, corners: Sequence[complex],
     by adaptive phase accumulation with steps kept below pi/2.
 
     Each edge starts from a fixed base subdivision: the pi/2 criterion alone
-    cannot see a full phase turn hiding between two in-phase samples.
+    cannot see a full phase turn hiding between two in-phase samples.  The
+    base nodes of all edges are known before the first determinant, so a
+    det with a many(points) method (`make_det`) takes them first in batched
+    passes; the walk then visits them in the same order either way, and a
+    point closer to a zero than CONTOUR_MIN_MODULUS raises ContourError at
+    the same point.
     """
     vals = {}
 
@@ -158,10 +180,13 @@ def _winding(det: Callable, corners: Sequence[complex],
         fm = f(mid)
         return seg_phase(a, mid, fa, fm, depth + 1) + seg_phase(mid, b, fm, fb, depth + 1)
 
-    total = 0.0
     pts = list(corners) + [corners[0]]
-    for a, b in zip(pts[:-1], pts[1:]):
-        nodes = [a + (b - a) * t / base_segments for t in range(base_segments + 1)]
+    edges = [[a + (b - a) * t / base_segments for t in range(base_segments + 1)]
+             for a, b in zip(pts[:-1], pts[1:])]
+    if hasattr(det, "many"):
+        det.many([s for nodes in edges for s in nodes])
+    total = 0.0
+    for nodes in edges:
         fs = [f(s) for s in nodes]
         for (p, q, fp, fq) in zip(nodes[:-1], nodes[1:], fs[:-1], fs[1:]):
             total += seg_phase(p, q, fp, fq, 0)
@@ -260,9 +285,13 @@ def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
         raise ContourError(complex((rx0 + rx1) / 2, (ry0 + ry1) / 2), 0.0)
 
     def solve(rect, count):
+        rx0, rx1, ry0, ry1 = rect
+        if count < 0:
+            # a zero count below 0 proves that some winding missed a turn
+            raise ContourError(complex((rx0 + rx1) / 2, (ry0 + ry1) / 2), math.nan,
+                               f"negative zero count {count} in {rect}")
         if count == 0:
             return
-        rx0, rx1, ry0, ry1 = rect
         size = max(rx1 - rx0, ry1 - ry0)
         if count == 1 or size < min_cell:
             center = complex((rx0 + rx1) / 2, (ry0 + ry1) / 2)

@@ -393,3 +393,22 @@ def test_rerun_byte_identical(tmp_path, capsys):
                     "--rect", "-0.5,0.5,0,4", "--out", str(sub)]) == 0
     for name in ("resonances.csv", "resonances.json", "resonances.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_equidist_takes_its_reference_along_the_axis_flag(tmp_path, monkeypatch):
+    """With one cover every modulus is 1, so nothing but --axis names the
+    continued coordinate: the reference curve is sampled along axis 1."""
+    from reslab import abelian
+
+    axes = []
+    original = abelian._reference_samples
+
+    def spy(data, window, delta, lmax, axis, fine=512):
+        axes.append(axis)
+        return original(data, window, delta, lmax, axis, fine=fine)
+
+    monkeypatch.setattr(abelian, "_reference_samples", spy)
+    assert run(["equidist", "--preset", "symmetric3", "--covers", "1", "--axis", "1",
+                "--lmax", "6", "--fine", "2", "--out", str(tmp_path)]) == 0
+    assert axes == [1]
+    assert json.loads((tmp_path / "equidist.json").read_text())["axis"] == 1

@@ -128,6 +128,35 @@ def test_engine_matches_kronecker_placement_bit_for_bit():
                     assert got.flags.c_contiguous, (name, lmax, s, twist.kind)
 
 
+def test_a_batch_of_s_is_the_scalar_matrices_bit_for_bit():
+    """`assemble` at an array of s gives, row by row, exactly the matrices
+    of one s at a time, whole and split, trivial and twisted, with the
+    batch axis first and a sector axis always present; `fredholm_det` of
+    an untwisted batch is the list of the scalar determinants.  Twists of dimension
+    above 1 are checked at lmax 8, where their matrices stay small.  The
+    sl2z-pair variant with discs of two radii takes the stacked tables."""
+    rng = np.random.default_rng(8)
+    groups = [sk.preset(name) for name in _PRESETS]
+    for data in groups + [sk.preset("sl2z-pair", B=((11, 60), (2, 11)))]:
+        name = data.name
+        twists = _twists(data, rng)
+        for lmax in (8, 16, 32):
+            s = np.array([complex(rng.uniform(-0.5, 1.0), rng.uniform(-8.0, 8.0))
+                          for _ in range(3)])
+            cases = [(TwistSpec.trivial(), True)] + [
+                (twist, False) for twist in (twists if lmax == 8 else twists[:2])]
+            for twist, sectors in cases:
+                batch = transfer.assemble(data, s, twist, lmax, sectors=sectors)
+                alone = [transfer.assemble(data, v, twist, lmax, sectors=sectors) for v in s]
+                assert batch.ndim == 4 and len(batch) == len(s)
+                for got, want in zip(batch, alone):
+                    assert np.array_equal(got if want.ndim == 3 else got[0], want), (
+                        name, lmax, twist.kind, sectors)
+                if twist.kind == "trivial":
+                    assert transfer.fredholm_det(batch) == [transfer.fredholm_det(M)
+                                                            for M in alone]
+
+
 def test_discs_of_two_radii_keep_their_own_tables():
     """Discs of radius 1 and 1/2 get one folded DFT per radius; runs that
     mix them (lmax 4, 16) and runs of one disc (lmax 32) still give the

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -189,3 +190,76 @@ def test_zero_count_stable_in_lmax(cyl):
     n24 = zeros.count_zeros(cyl, TRIV, (rect[0] - 1e-3, rect[1] + 1e-3,
                                         rect[2] - 1e-3, rect[3] + 1e-3), lmax=24)
     assert n16 == n24 == 6
+
+
+def test_many_gives_the_scalar_determinants_bit_for_bit():
+    """det.many fills the cache with exactly the values det(s) computes
+    alone, on every preset at lmax 8, 16 and 32, for a batch of one, of
+    exactly one engine pass and of one pass and one more value."""
+    rng = np.random.default_rng(9)
+    for name in ("cylinder", "symmetric3", "sl2z-pair", "sl2z-crossed"):
+        data = sk.preset(name)
+        for lmax in (8, 16, 32):
+            step = transfer._batch(data, lmax, sectors=True)
+            for n in (1, step, step + 1):
+                pts = [complex(rng.uniform(-0.5, 1.0), rng.uniform(-8.0, 8.0))
+                       for _ in range(n)]
+                batched = zeros.make_det(data, TRIV, lmax)
+                batched.many(pts)
+                alone = zeros.make_det(data, TRIV, lmax)
+                assert [batched(s) for s in pts] == [alone(s) for s in pts], (name, lmax, n)
+
+
+def test_winding_takes_the_same_points_with_or_without_many(cyl):
+    """A det without many (a plain callable) is asked for the same points
+    in the same order as one with many, and gives the same count; a
+    functools.wraps wrapper keeps many."""
+    ell = 2 * math.acosh(1.5)
+    rect = (-0.2, 0.2, 2 * math.pi / ell - 0.2, 2 * math.pi / ell + 0.2)
+    runs = []
+    for keep in (True, False):
+        det = zeros.make_det(cyl, TRIV, 16)
+        calls = []
+
+        def counted(s, det=det):
+            calls.append(s)
+            return det(s)
+
+        if keep:
+            counted = functools.wraps(det)(counted)
+            assert hasattr(counted, "many")
+        runs.append((zeros.count_zeros(cyl, TRIV, rect, det=counted), calls))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2
+
+
+def test_zero_on_a_base_node_raises_at_that_node(sym3, delta3):
+    """delta is base node 8 of the second edge: the batched base nodes and
+    the plain walk stop at the same point with the same modulus."""
+    rect = (delta3 - 0.5, delta3, -0.2, 0.2)
+    seen = []
+    plain = zeros.make_det(sym3, TRIV, 16)
+    for det in (zeros.make_det(sym3, TRIV, 16), lambda s: plain(s)):
+        with pytest.raises(zeros.ContourError) as err:
+            zeros.count_zeros(sym3, TRIV, rect, det=det)
+        seen.append((err.value.point, err.value.modulus))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == complex(delta3, 0.0)
+
+
+def test_negative_sub_count_raises():
+    """Four zeros 3e-3 inside the bottom edge, in one base segment, turn
+    the phase by nearly 4 pi there, which the outer contour reads as 0; with
+    a fifth zero inside it counts 3.  A later split counts 4 on one side,
+    so the other side gets a negative count: that is a ContourError, never
+    a zero of multiplicity below 1."""
+    x0, width = -1e-3, 1.002
+    xm = x0 + width * 2.5 / 16
+    roots = [complex(xm + d * 1e-3, x0 + 3e-3) for d in (-1.5, -0.5, 0.5, 1.5)]
+    roots.append(complex(0.75, 0.5))
+
+    def det(s):
+        return 1e9 * complex(np.prod([s - r for r in roots]))
+
+    with pytest.raises(zeros.ContourError, match="negative zero count"):
+        zeros.resonances(None, TRIV, (0.0, 1.0, 0.0, 1.0), det=det)
