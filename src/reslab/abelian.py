@@ -8,7 +8,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,18 +75,6 @@ def cover_zeta_zeros(data: SchottkyData, quotient: AbelianQuotient,
     return out
 
 
-def _theta_det_factory(data: SchottkyData, s: complex, lmax: int) -> Callable:
-    """theta -> det(I - L_{s,theta}) reusing the untwisted matrix at fixed s,
-    lifted by the character's letters."""
-    base = transfer.assemble(data, s, TwistSpec.trivial(), lmax)
-
-    def det(theta) -> complex:
-        letters = TwistSpec.abelian(theta).letter_matrices(data.m)
-        return transfer.fredholm_det(transfer._lift(base, letters))
-
-    return det
-
-
 def _character_involution(data: SchottkyData) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The map theta -> pi.theta that the disc involution sigma of
     `transfer._disc_involution` induces on characters, as (index, sign)
@@ -140,14 +128,17 @@ def nonvanishing_scan(data: SchottkyData, grid_n: int = 64,
     weights = n ** np.arange(m - 1, -1, -1)
     _, first = np.unique(np.min([im @ weights for im in images], axis=0),
                          return_index=True)
-    det = _theta_det_factory(data, complex(delta), lmax)
-    values = [abs(det(tuple(rep / n))) for rep in k[first]]
-    best = int(np.argmin(values))
+    # the letters of every representative, then of theta = 0, lift the
+    # untwisted matrix at delta
+    letters = transfer._character_letters(np.vstack((k[first], np.zeros(m, int))) / n)
+    base = transfer.assemble(data, complex(delta), TwistSpec.trivial(), lmax)
+    values = [abs(transfer.fredholm_det(transfer._lift(base, u))) for u in letters]
+    best = int(np.argmin(values[:-1]))
     return {
         "delta": delta,
         "min_offlattice": values[best],
         "argmin": tuple((k[first[best]] / n).tolist()),
-        "residual_at_zero": abs(det((0.0,) * m)),
+        "residual_at_zero": values[-1],
         "grid_n": grid_n,
         "exclusion": exclusion,
     }

@@ -1,30 +1,72 @@
 """Topological pressure and the critical exponent via the leading eigenvalue
-of the truncated untwisted transfer matrix at real parameter values."""
+of the truncated untwisted transfer matrix at real parameter values.
+
+At real sigma every group's matrix is real (real generators and disc
+centres), and its Perron eigenvalue lambda(sigma) is found by power
+iteration on the real part.  For a group with the disc involution J the
+positive Perron eigenfunction is invariant under F -> F o J, so lambda lies
+in the X+Y sector and only that half-size matrix is iterated.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from . import transfer
 from .schottky import SchottkyData
 
-__all__ = ["PressureCurve", "pressure", "critical_exponent", "pressure_curve"]
+__all__ = ["pressure", "critical_exponent"]
 
 DEFAULT_LMAX = 16
 MIN_LMAX = 4
 ROOT_MAXITER = 100
+# Power-iteration cap; the presets settle in at most about 80 steps.
+_PERRON_MAXITER = 512
+# Steps between two convergence tests; the vector is normalised at each test.
+_PERRON_STRIDE = 8
+# Largest change of the unit iterate, in 2-norm, that counts as settled.
+_PERRON_TOL = 8 * np.finfo(float).eps
+
+
+def _perron_radius(A: np.ndarray) -> float:
+    """Dominant eigenvalue modulus of the real square matrix A by power
+    iteration from the normalised all-ones vector.  Every _PERRON_STRIDE
+    steps it compares the unit vectors of v and A v; once they differ by at
+    most _PERRON_TOL it returns |A v| / |v|.  A matrix whose iterate does not
+    settle within _PERRON_MAXITER steps (a dominant eigenvalue that is
+    negative, complex or not simple) gets `transfer.spectral_radius` of A
+    instead.  A is copied once, because the matrix-vector product of a
+    strided view is about twice as slow."""
+    A = np.ascontiguousarray(A)
+    v = np.full(A.shape[0], 1.0 / math.sqrt(A.shape[0]))
+    for _ in range(_PERRON_MAXITER // _PERRON_STRIDE):
+        for _ in range(_PERRON_STRIDE - 1):
+            v = A @ v
+        w = A @ v
+        w2, v2 = w @ w, v @ v
+        if not w2 > 0:  # also when v = 0, since w = A v
+            break
+        u = w / math.sqrt(w2)
+        d = u - v / math.sqrt(v2)
+        if d @ d <= _PERRON_TOL ** 2:
+            return math.sqrt(w2 / v2)
+        v = u
+    return transfer.spectral_radius(A)
 
 
 def pressure(data: SchottkyData, sigma: float, lmax: int = DEFAULT_LMAX) -> float:
     """log of the spectral radius of the truncated untwisted operator at the
-    real parameter sigma; strictly decreasing and convex in sigma.  A group
-    with the disc involution takes the larger radius of its two sectors."""
+    real parameter sigma; strictly decreasing and convex in sigma.  The
+    radius is the Perron eigenvalue of the real part of the X+Y sector
+    matrix for a group with the disc involution, of the whole matrix
+    otherwise (`_perron_radius`)."""
     if lmax < MIN_LMAX:
         raise ValueError(f"lmax must be >= {MIN_LMAX}")
     M = transfer.assemble(data, float(sigma), transfer.TwistSpec.trivial(), lmax,
                           sectors=True)
-    r = transfer.spectral_radius(M)
+    r = _perron_radius((M[0] if M.ndim == 3 else M).real)
     if not r > 0:
         raise ArithmeticError("spectral radius collapsed to zero")
     return math.log(r)
@@ -73,13 +115,3 @@ def critical_exponent(data: SchottkyData, lmax: int = DEFAULT_LMAX,
         raise ArithmeticError("pressure root did not converge")
     return float(delta)
 
-
-@dataclass(frozen=True)
-class PressureCurve:
-    samples: tuple[tuple[float, float], ...]
-    delta: float
-
-
-def pressure_curve(data: SchottkyData, sigmas, lmax: int = DEFAULT_LMAX) -> PressureCurve:
-    samples = tuple((float(s), pressure(data, s, lmax)) for s in sigmas)
-    return PressureCurve(samples=samples, delta=critical_exponent(data, lmax))

@@ -126,8 +126,7 @@ class TwistSpec:
         if self.kind == "abelian":
             if len(self.theta) != m:
                 raise ValueError(f"theta must have dimension m={m}")
-            e = np.exp(np.array(self.theta) * (2j * np.pi))
-            return np.concatenate((e, e.conj())).reshape(2 * m, 1, 1)
+            return _character_letters(np.array(self.theta))
         if self.kind == "matrix":
             if len(self._mats) != m:
                 raise ValueError(f"need {m} twist matrices")
@@ -141,6 +140,14 @@ class TwistSpec:
                             for k in range(m)])
             return np.concatenate((out, out.transpose(0, 2, 1)))
         raise ValueError(f"unknown twist kind: {self.kind}")
+
+
+def _character_letters(theta: np.ndarray) -> np.ndarray:
+    """Letter unitaries of the characters theta, shape (..., m), as an
+    array (..., 2m, 1, 1): exp(2 pi i theta_k) for letter k and its
+    conjugate for the inverse letter m+k."""
+    e = np.exp(theta * (2j * np.pi))
+    return np.concatenate((e, e.conj()), axis=-1)[..., None, None]
 
 
 def _roots_of_unity(K: int) -> np.ndarray:

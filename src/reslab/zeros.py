@@ -99,33 +99,37 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
 
     The trivial twist of a group with the disc involution takes the product
     of its two sector determinants (`transfer.assemble` with sectors=True).
-    A regular twist of G = Z/N_1 x ... x Z/N_m splits into the characters
-    theta = alpha/N, so its determinant is the product of theirs: one
-    untwisted matrix per s, then one LU per character.
+    Any other twist lifts the untwisted matrix at s by letter unitaries
+    built once per closure (`transfer._lift`).  A regular twist of G =
+    Z/N_1 x ... x Z/N_m splits into the characters theta = alpha/N, so its
+    determinant is the product of theirs: one untwisted matrix per s, then
+    one LU per character.
 
     The closure of the trivial twist also has a method many(points), which
     fills the cache at every new point in batched engine passes: `assemble`
     and `fredholm_det` at up to `transfer._batch` values of s at once, each
     value equal to the one det(s) gives."""
     cache: dict[complex, complex] = {}
-    if twist.kind == "regular":
-        if len(twist.moduli) != data.m:
-            raise ValueError(f"moduli must have dimension m={data.m}")
-        trivial = TwistSpec.trivial()
-        characters = [TwistSpec.abelian([a / n for a, n in zip(alpha, twist.moduli)])
-                      .letter_matrices(data.m)
-                      for alpha in product(*[range(n) for n in twist.moduli])]
-
-        def value(s: complex) -> complex:
-            base = transfer.assemble(data, s, trivial, lmax)
-            out = 1.0 + 0.0j
-            for letters in characters:
-                out *= transfer.fredholm_det(transfer._lift(base, letters))
-            return out
-    else:
+    if twist.kind == "trivial":
         def value(s: complex) -> complex:
             return transfer.fredholm_det(
                 transfer.assemble(data, s, twist, lmax, sectors=True))
+    else:
+        if twist.kind == "regular":
+            if len(twist.moduli) != data.m:
+                raise ValueError(f"moduli must have dimension m={data.m}")
+            alphas = np.array(list(product(*[range(n) for n in twist.moduli])))
+            characters = transfer._character_letters(alphas / np.array(twist.moduli))
+        else:
+            characters = twist.letter_matrices(data.m)[None]
+        trivial = TwistSpec.trivial()
+
+        def value(s: complex) -> complex:
+            base = transfer.assemble(data, s, trivial, lmax)
+            out = transfer.fredholm_det(transfer._lift(base, characters[0]))
+            for letters in characters[1:]:
+                out *= transfer.fredholm_det(transfer._lift(base, letters))
+            return out
 
     def det(s: complex) -> complex:
         s = complex(s)

@@ -1,15 +1,16 @@
 """Reference constructions that the tests compare the program against:
 transfer blocks built block by block from the definitions, central-difference
 Newton for zero refinement, a quadrature Fourier transform, the
-determinant of one full matrix, and the character scan with one
-determinant per grid point."""
+determinant of one full matrix, the character scan with one
+determinant per grid point, and sampled pressure curves."""
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from reslab import abelian, transfer, zeros
+from reslab import thermo, transfer, zeros
 
 
 def scalar_block(data, s, lmax, i, j):
@@ -98,12 +99,24 @@ def fredholm_det(M):
     return complex(np.linalg.det(np.eye(M.shape[0]) - M))
 
 
+def theta_det_factory(data, s, lmax):
+    """theta -> det(I - L_{s,theta}), one TwistSpec per theta, lifting the
+    untwisted matrix at s by that character's letters."""
+    base = transfer.assemble(data, s, transfer.TwistSpec.trivial(), lmax)
+
+    def det(theta):
+        letters = transfer.TwistSpec.abelian(theta).letter_matrices(data.m)
+        return transfer.fredholm_det(transfer._lift(base, letters))
+
+    return det
+
+
 def full_grid_scan(data, grid_n, delta, lmax=16, exclusion=0.05):
     """abelian.nonvanishing_scan with one determinant at every grid point
     at sup-distance >= exclusion from the integer lattice, in
     itertools.product order; the argmin is the first point of strictly
     smallest modulus."""
-    det = abelian._theta_det_factory(data, complex(delta), lmax)
+    det = theta_det_factory(data, complex(delta), lmax)
     axes = [np.arange(grid_n) / grid_n for _ in range(data.m)]
     best = math.inf
     argmin = None
@@ -115,3 +128,15 @@ def full_grid_scan(data, grid_n, delta, lmax=16, exclusion=0.05):
             best, argmin = v, theta
     return {"min_offlattice": best, "argmin": argmin,
             "residual_at_zero": abs(det((0.0,) * data.m))}
+
+
+@dataclass(frozen=True)
+class PressureCurve:
+    samples: tuple[tuple[float, float], ...]
+    delta: float
+
+
+def pressure_curve(data, sigmas, lmax=thermo.DEFAULT_LMAX):
+    """The pressure at each sigma, with the critical exponent."""
+    samples = tuple((float(s), thermo.pressure(data, s, lmax)) for s in sigmas)
+    return PressureCurve(samples=samples, delta=thermo.critical_exponent(data, lmax))

@@ -7,7 +7,7 @@ from reslab import abelian, schottky as sk, thermo, transfer, zeros
 from reslab.abelian import AbelianQuotient
 from reslab.transfer import TwistSpec
 
-from oracles import full_grid_scan, kron_placement, source_unitaries
+from oracles import full_grid_scan, kron_placement, source_unitaries, theta_det_factory
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +163,8 @@ def test_modulus_field_symmetry():
             assert tuple(sign * k[index]) == pi(k)
         for _ in range(3):
             s = complex(rng.uniform(0.0, 1.0), rng.uniform(-3.0, 3.0))
-            det = abelian._theta_det_factory(data, s, 12)
-            mirror = abelian._theta_det_factory(data, s.conjugate(), 12)
+            det = theta_det_factory(data, s, 12)
+            mirror = theta_det_factory(data, s.conjugate(), 12)
             for _ in range(4):
                 theta = rng.uniform(0.0, 1.0, size=data.m)
                 v = det(tuple(theta))
@@ -181,7 +181,7 @@ def test_theta_det_equals_twisted_placement():
     for data, lmax in ((sk.preset("symmetric3"), 16), (sk.preset("cylinder"), 12),
                        (sk.preset("sl2z-crossed"), 8)):
         s = complex(0.53, 0.2)
-        det = abelian._theta_det_factory(data, s, lmax)
+        det = theta_det_factory(data, s, lmax)
         for _ in range(20):
             theta = tuple(rng.uniform(-1.0, 2.0, size=data.m))
             unitaries = source_unitaries(data, TwistSpec.abelian(theta))

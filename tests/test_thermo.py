@@ -9,12 +9,25 @@ import pytest
 from reslab import schottky as sk
 from reslab import abelian, thermo, transfer, zeros
 
+from oracles import pressure_curve
+
 # delta at lmax 16 and the default tolerance, recorded from scipy's brentq
 RECORDED_DELTA = {
     "symmetric3": 0.2515811641598957,
     "sl2z-pair": 0.39391966002121476,
     "sl2z-crossed": 0.5434342722006534,
 }
+# delta at lmax 12 and 32 and the default tolerance, recorded from the
+# largest modulus of the full complex spectrum (np.linalg.eigvals)
+RECORDED_DELTA_BY_LMAX = {
+    ("symmetric3", 12): 0.25158116415987636,
+    ("symmetric3", 32): 0.2515811641598762,
+    ("sl2z-pair", 12): 0.3939196600211279,
+    ("sl2z-pair", 32): 0.3939196600212155,
+    ("sl2z-crossed", 12): 0.5434342722006258,
+    ("sl2z-crossed", 32): 0.5434342722006524,
+}
+PRESETS = ("cylinder", "symmetric3", "sl2z-pair", "sl2z-crossed")
 # pressure evaluations per delta that brentq needed (P(0), P(1), its own two
 # end-point evaluations, its steps and the final residual check)
 BRENTQ_PRESSURE_CALLS = {"symmetric3": 10, "sl2z-pair": 11, "sl2z-crossed": 11}
@@ -79,7 +92,7 @@ def test_pressure_linear_upper_bound(sym3):
 
 
 def test_pressure_curve_object(sym3):
-    curve = thermo.pressure_curve(sym3, [0.1, 0.3, 0.5])
+    curve = pressure_curve(sym3, [0.1, 0.3, 0.5])
     assert len(curve.samples) == 3
     assert abs(curve.delta - thermo.critical_exponent(sym3)) < 1e-12
 
@@ -103,6 +116,55 @@ def test_pressure_rejects_small_lmax(sym3):
 def test_delta_matches_recorded_value(name):
     assert abs(thermo.critical_exponent(sk.preset(name), 16)
                - RECORDED_DELTA[name]) < 1e-13
+
+
+@pytest.mark.parametrize("name, lmax", sorted(RECORDED_DELTA_BY_LMAX))
+def test_delta_matches_the_full_spectrum_value(name, lmax):
+    assert abs(thermo.critical_exponent(sk.preset(name), lmax)
+               - RECORDED_DELTA_BY_LMAX[name, lmax]) < 1e-13
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("lmax", [6, 8, 16, 32])
+def test_pressure_is_the_log_spectral_radius_of_the_whole_matrix(name, lmax):
+    """The Perron eigenvalue of the X+Y sector's real part is the spectral
+    radius of the whole complex matrix."""
+    data = sk.preset(name)
+    for sigma in np.linspace(0.0, 1.0, 11):
+        M = transfer.assemble(data, float(sigma), transfer.TwistSpec.trivial(), lmax)
+        assert abs(thermo.pressure(data, sigma, lmax)
+                   - math.log(transfer.spectral_radius(M))) < 1e-13, sigma
+
+
+def _counting_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+@pytest.mark.parametrize("A", [np.diag([-2.0, 1.0]),
+                               1.5 * np.array([[math.cos(1.0), -math.sin(1.0)],
+                                               [math.sin(1.0), math.cos(1.0)]])])
+def test_perron_radius_falls_back_where_the_iteration_cannot_settle(A, monkeypatch):
+    """A negative or complex dominant eigenvalue keeps the unit iterate
+    moving, so the radius comes from the full spectrum."""
+    calls = _counting_eigvals(monkeypatch)
+    assert thermo._perron_radius(A) == np.max(np.abs(np.linalg.eigvals(A)))
+    assert calls == [A.shape, A.shape]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_delta_takes_no_full_spectrum(name, monkeypatch):
+    data = sk.preset(name)
+    calls = _counting_eigvals(monkeypatch)
+    thermo.critical_exponent(data, 16)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_DELTA))
