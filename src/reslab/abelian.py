@@ -4,7 +4,6 @@ and the equidistribution experiment along growing cyclic covers."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -12,15 +11,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import schottky as sk
 from . import transfer, zeros
-from .schottky import GeodesicClass, SchottkyData
+from .schottky import SchottkyData
 from .transfer import TwistSpec
 
 __all__ = [
     "AbelianQuotient",
     "ImplicitCurve",
-    "character_of",
     "cover_zeta_zeros",
     "nonvanishing_scan",
     "implicit_curve",
@@ -30,6 +27,12 @@ __all__ = [
 ]
 
 ORDER_CAP = 64
+# Halvings of epsilon implicit_curve tries after a failed continuation.
+MAX_SHRINK = 3
+# equidistribution_experiment's window of Re(phi), as offsets from delta,
+# and its histogram bin count.
+WINDOW = (-0.1, 0.02)
+BINS = 12
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,8 @@ class AbelianQuotient:
 
     @property
     def order(self) -> int:
-        return int(np.prod(self.moduli))
+        # in Python ints: an int64 product of (2^32, 2^32) wraps to 0
+        return math.prod(self.moduli)
 
     def characters(self):
         """All lattice points alpha with 0 <= alpha_k < N_k."""
@@ -52,14 +56,6 @@ class AbelianQuotient:
 
     def theta(self, alpha: Sequence[int]) -> tuple[float, ...]:
         return tuple(a / n for a, n in zip(alpha, self.moduli))
-
-
-def character_of(quotient: AbelianQuotient, alpha: Sequence[int],
-                 geodesic: GeodesicClass) -> complex:
-    """chi_alpha evaluated on the homology vector of the class."""
-    phase = sum(a * h / n for a, h, n
-                in zip(alpha, geodesic.homology, quotient.moduli))
-    return cmath.exp(2j * math.pi * phase)
 
 
 def cover_zeta_zeros(data: SchottkyData, quotient: AbelianQuotient,
@@ -165,15 +161,14 @@ def _phi_at(data: SchottkyData, theta, s0: complex, lmax: int) -> tuple[complex,
 
 
 def implicit_curve(data: SchottkyData, epsilon: float, grid_n: int = 5,
-                   lmax: int = 16, delta: Optional[float] = None,
-                   max_shrink: int = 3) -> ImplicitCurve:
+                   lmax: int = 16, delta: Optional[float] = None) -> ImplicitCurve:
     """phi(theta) on the grid over B_inf(0, epsilon), continued from delta by
-    warm-started secant refinement; epsilon shrinks (up to max_shrink times) if the
-    continuation fails anywhere."""
+    warm-started secant refinement; epsilon halves (up to MAX_SHRINK times) if
+    the continuation fails anywhere."""
     if delta is None:
         delta = zeros._delta_of(data, lmax)
     m = data.m
-    for attempt in range(max_shrink + 1):
+    for attempt in range(MAX_SHRINK + 1):
         eps = epsilon * (0.5 ** attempt)
         axis = np.linspace(-eps, eps, grid_n)
         # order by distance from 0 so each point has a converged neighbour
@@ -296,8 +291,7 @@ def _density_exponent(ref: np.ndarray, delta: float) -> float:
 
 def equidistribution_experiment(data: SchottkyData,
                                 moduli_sequence: Sequence[Sequence[int]],
-                                window: Optional[tuple[float, float]] = None,
-                                bins: int = 12, lmax: int = 12,
+                                lmax: int = 12,
                                 fine: int = 512,
                                 axis: Optional[int] = None) -> EquidistributionResult:
     """Near-critical resonances of cyclic covers versus the pushforward of
@@ -308,12 +302,10 @@ def equidistribution_experiment(data: SchottkyData,
     delta along that coordinate, and the Kolmogorov distance of the
     empirical zero positions to the curve pushforward is reported."""
     delta = zeros._delta_of(data, max(lmax, 12))
-    if window is None:
-        window = (delta - 0.1, delta + 0.02)
-    lo, hi = window
+    lo, hi = delta + WINDOW[0], delta + WINDOW[1]
     if axis is None:
         axis = int(np.argmax(moduli_sequence[-1]))
-    ref = _reference_samples(data, window, delta, lmax, axis, fine=fine)
+    ref = _reference_samples(data, (lo, hi), delta, lmax, axis, fine=fine)
     ks_list, hists, counts = [], [], []
     for moduli in moduli_sequence:
         q = AbelianQuotient(tuple(int(n) for n in moduli))
@@ -332,10 +324,10 @@ def equidistribution_experiment(data: SchottkyData,
         emp = np.array(sorted(emp))
         ks_list.append(_ks_distance(emp, ref))
         counts.append(len(emp))
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, BINS + 1)
         h, _ = np.histogram(emp, bins=edges)
         hists.append(tuple((float(edges[i]), float(edges[i + 1]), int(h[i]))
-                           for i in range(bins)))
+                           for i in range(BINS)))
     exponent = _density_exponent(ref, delta)
     cdf = tuple((float(v), float((i + 1) / len(ref))) for i, v in enumerate(ref))
     return EquidistributionResult(

@@ -19,7 +19,6 @@ __all__ = [
     "cycle_graph",
     "graph_from_group",
     "laplacian_eigenvalues",
-    "dense_laplacian",
     "adjacency_matrix",
     "CheegerResult",
     "cheeger_constant",
@@ -29,6 +28,8 @@ __all__ = [
 
 EXHAUSTIVE_CAP = 24
 MAX_ORDER = 10 ** 6
+# The modulus that grows along gap_decay_experiment's quotients of a group.
+GROWING_AXIS = 0
 
 
 def _mod(vec: Sequence[int], moduli: Sequence[int]) -> tuple[int, ...]:
@@ -44,6 +45,8 @@ class CayleyGraph:
     gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.order > MAX_ORDER:
+            raise ValueError(f"quotient order above {MAX_ORDER}")
         moduli = self.quotient.moduli
         reduced = tuple(_mod(s, moduli) for s in self.gens)
         if len(set(reduced)) != len(reduced):
@@ -107,8 +110,6 @@ def graph_from_group(data: SchottkyData, moduli: Sequence[int]) -> CayleyGraph:
 def laplacian_eigenvalues(graph: CayleyGraph) -> np.ndarray:
     """All eigenvalues by the character formula
     lambda_alpha = (1/k) sum_s (1 - cos(2 pi sum_l alpha_l s_l / N_l))."""
-    if graph.order > MAX_ORDER:
-        raise ValueError(f"quotient order above {MAX_ORDER}")
     moduli = np.array(graph.quotient.moduli, dtype=float)
     alphas = np.array(list(itertools.product(*(range(n) for n in graph.quotient.moduli))),
                       dtype=float)
@@ -129,11 +130,6 @@ def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
             w = _mod([a + b for a, b in zip(v, s)], moduli)
             A[index[v], index[w]] += 1.0
     return A
-
-
-def dense_laplacian(graph: CayleyGraph) -> np.ndarray:
-    A = adjacency_matrix(graph)
-    return np.eye(A.shape[0]) - A / graph.degree
 
 
 def cheeger_exhaustive(adj: np.ndarray) -> float:
@@ -237,8 +233,7 @@ def sandwich_check(graph: CayleyGraph) -> dict:
 
 
 def gap_decay_experiment(Ns: Sequence[int],
-                         data: Optional[SchottkyData] = None,
-                         growing_axis: int = 0) -> dict:
+                         data: Optional[SchottkyData] = None) -> dict:
     """Table (N, lambda1, h or upper bound) along cyclic quotients with one
     growing modulus; reports the fitted limit constant of lambda1 * N^2."""
     rows = []
@@ -247,7 +242,7 @@ def gap_decay_experiment(Ns: Sequence[int],
             graph = cycle_graph(int(N))
         else:
             moduli = [1] * data.m
-            moduli[growing_axis] = int(N)
+            moduli[GROWING_AXIS] = int(N)
             graph = graph_from_group(data, moduli)
         lam = laplacian_eigenvalues(graph)
         lam1 = float(lam[1])

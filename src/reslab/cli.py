@@ -328,9 +328,9 @@ def _run_congruence(args) -> int:
         stats = congruence.class_statistics(p)
         violations = congruence.conj1_check(data, p, beta)
         avg = congruence.character_average(data, p, beta=beta)
+        mt = congruence.trace_multiplicities(data, beta * math.log(p))
     except ValueError as exc:
         raise ValidationFailure(f"congruence: {exc}")
-    mt = congruence.trace_multiplicities(data, beta * math.log(p))
     report.write_csv(_out_path(args, "trace_multiplicities.csv"),
                      ("trace", "multiplicity"),
                      sorted(mt.items()))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -15,10 +15,7 @@ from . import schottky as sk
 from .schottky import GeodesicClass, SchottkyData
 
 __all__ = [
-    "FpMatrix",
     "ConjClassLabel",
-    "reduce_mod_p",
-    "classify",
     "class_statistics",
     "group_order",
     "all_elements",
@@ -26,125 +23,51 @@ __all__ = [
     "power_classes",
     "conj1_check",
     "character_average",
-    "abelian_average_crosscheck",
     "surjectivity_check",
 ]
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(math.isqrt(n)) + 1):
-        if n % q == 0:
-            return False
-    return True
-
-
-def _legendre(x: int, p: int) -> int:
-    """1 for nonzero squares, -1 for nonsquares, 0 for 0 (mod p)."""
-    x %= p
-    if x == 0:
-        return 0
-    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    a: int
-    b: int
-    c: int
-    d: int
-    p: int
-
-    def __post_init__(self):
-        p = self.p
-        if p <= 3 or not _is_prime(p):
-            raise ValueError("p must be an odd prime > 3")
-        for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, getattr(self, f) % p)
-        if (self.a * self.d - self.b * self.c) % p != 1:
-            raise ValueError("determinant must be 1 mod p")
-
-    @property
-    def trace(self) -> int:
-        return (self.a + self.d) % self.p
-
-    def mul(self, other: "FpMatrix") -> "FpMatrix":
-        p = self.p
-        return FpMatrix(
-            (self.a * other.a + self.b * other.c) % p,
-            (self.a * other.b + self.b * other.d) % p,
-            (self.c * other.a + self.d * other.c) % p,
-            (self.c * other.b + self.d * other.d) % p, p)
-
-    def inv(self) -> "FpMatrix":
-        return FpMatrix(self.d, -self.b, -self.c, self.a, self.p)
-
-    def neg(self) -> "FpMatrix":
-        return FpMatrix(-self.a, -self.b, -self.c, -self.d, self.p)
-
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-
-def reduce_mod_p(obj, p: int, data: Optional[SchottkyData] = None) -> FpMatrix:
-    """Entrywise reduction of an integer matrix, Moebius map, geodesic class
-    or word; the sign ambiguity of the projective lift is resolved by the
-    fixed integer generator matrices."""
-    if isinstance(obj, FpMatrix):
-        return obj
-    if isinstance(obj, sk.MoebiusMap):
-        ints = np.rint([obj.a, obj.b, obj.c, obj.d]).astype(object)
-        if max(abs(float(obj.a) - int(ints[0])), abs(float(obj.b) - int(ints[1])),
-               abs(float(obj.c) - int(ints[2])), abs(float(obj.d) - int(ints[3]))) > 1e-9:
-            raise ValueError("matrix entries are not integers")
-        return FpMatrix(int(ints[0]), int(ints[1]), int(ints[2]), int(ints[3]), p)
-    if isinstance(obj, GeodesicClass):
-        if data is None:
-            raise ValueError("reducing a geodesic class requires the group data")
-        return _word_mod_p(_int_generators(data), obj.word, p)
-    if isinstance(obj, (tuple, list)):
-        if data is None:
-            raise ValueError("reducing a word requires the group data")
-        return _word_mod_p(_int_generators(data), obj, p)
-    raise TypeError(f"cannot reduce {type(obj)!r}")
+def _check_prime(p: int) -> None:
+    if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError("p must be an odd prime > 3")
 
 
 def _int_generators(data: SchottkyData) -> list[tuple[int, int, int, int]]:
+    """The integer matrix (a, b, c, d) of each letter 1..2m."""
     out = []
-    for k in data.letters:
-        g = data.gen(k)
+    for g in data.generators:
         vals = [g.a, g.b, g.c, g.d]
         ints = [int(round(v)) for v in vals]
         if max(abs(v - i) for v, i in zip(vals, ints)) > 1e-9:
             raise ValueError("group generators are not integer matrices")
         out.append(tuple(ints))
-    return out
+    # a generator has determinant 1, so its inverse is [[d, -b], [-c, a]]
+    return out + [(d, -b, -c, a) for a, b, c, d in out]
 
 
-def _word_mod_p(gens: list[tuple[int, int, int, int]], word: Sequence[int],
-                p: int) -> FpMatrix:
-    a, b, c, d = 1, 0, 0, 1
-    for k in word:
-        ga, gb, gc, gd = gens[k - 1]
-        a, b, c, d = ((a * ga + b * gc) % p, (a * gb + b * gd) % p,
-                      (c * ga + d * gc) % p, (c * gb + d * gd) % p)
-    return FpMatrix(a, b, c, d, p)
+def _mul_mod_p(x: tuple[int, int, int, int], y: tuple[int, int, int, int],
+               p: int) -> tuple[int, int, int, int]:
+    """x y mod p for 2x2 matrices given as rows (a, b, c, d), in Python ints
+    so that no product overflows."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return ((xa * ya + xb * yc) % p, (xa * yb + xb * yd) % p,
+            (xc * ya + xd * yc) % p, (xc * yb + xd * yd) % p)
 
 
-def _reduced_powers(data: SchottkyData, p: int, classes) -> list[FpMatrix]:
-    """C^k mod p for each power class (C, k, ...) of power_classes."""
+def _reduced_powers(data: SchottkyData, p: int, classes) -> np.ndarray:
+    """C^k mod p for each power class (C, k, ...) of power_classes, as an
+    (n, 4) int64 array of rows (a, b, c, d) with entries in [0, p)."""
     gens = _int_generators(data)
-    out = []
+    rows = []
     for c, k, *_ in classes:
-        g = _word_mod_p(gens, c.word, p)
+        g = (1, 0, 0, 1)
+        for letter in c.word:
+            g = _mul_mod_p(g, gens[letter - 1], p)
         gk = g
         for _ in range(k - 1):
-            gk = gk.mul(g)
-        out.append(gk)
-    return out
+            gk = _mul_mod_p(gk, g, p)
+        rows.append(gk)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 @dataclass(frozen=True, order=True)
@@ -156,29 +79,6 @@ class ConjClassLabel:
     kind: str  # split-torus | nonsplit-torus | central | unipotent
     sign: int = 0  # central/unipotent: +1 or -1
     square_class: int = 0  # unipotent: Legendre symbol of the shear
-
-
-def classify(g: FpMatrix) -> ConjClassLabel:
-    p = g.p
-    t = g.trace
-    if t == 2 % p and g.is_identity():
-        return ConjClassLabel(trace=t, kind="central", sign=1)
-    if t == (p - 2) % p and g.neg().is_identity():
-        return ConjClassLabel(trace=t, kind="central", sign=-1)
-    disc = (t * t - 4) % p
-    if disc != 0:
-        if _legendre(disc, p) == 1:
-            return ConjClassLabel(trace=t, kind="split-torus")
-        return ConjClassLabel(trace=t, kind="nonsplit-torus")
-    # t = +-2, non central: unipotent up to sign
-    sign = 1 if t == 2 else -1
-    h = g if sign == 1 else g.neg()
-    # shear invariant: h is conjugate to [[1, x], [0, 1]], and conjugating
-    # that by [[a', b'], [c', d']] gives c_h = -x c'^2 and b_h = x a'^2, so
-    # the square class of x is that of -c_h, or of b_h when c_h = 0
-    x = (p - h.c) % p if h.c else h.b
-    return ConjClassLabel(trace=t, kind="unipotent", sign=sign,
-                          square_class=_legendre(x, p))
 
 
 def group_order(p: int) -> int:
@@ -203,28 +103,29 @@ def all_elements(p: int) -> np.ndarray:
 _SLOTS = (("central", 1, 0), ("central", -1, 0), ("split-torus", 0, 0),
           ("nonsplit-torus", 0, 0), ("unipotent", 1, 1), ("unipotent", 1, -1),
           ("unipotent", -1, 1), ("unipotent", -1, -1))
+# The slot by [Legendre symbol of t^2 - 4, t != 2, Legendre symbol of the
+# shear], symbols shifted by 1.  At t = +-2 the shear is 0 only at +-1.
+_SLOT_OF = np.array([[[3, 3, 3], [3, 3, 3]],
+                     [[5, 0, 4], [7, 1, 6]],
+                     [[2, 2, 2], [2, 2, 2]]])
 
 
 def _classify_codes(elems: np.ndarray, p: int) -> np.ndarray:
-    """classify() over (n, 4) int64 rows with entries in [0, p): one code
-    8*trace + slot per row, slot indexing _SLOTS."""
-    a, b, c, d = (elems[:, i] for i in range(4))
+    """The conjugacy class of each of the (n, 4) int64 rows (a, b, c, d),
+    entries in [0, p): one code 8*trace + slot per row, slot indexing
+    _SLOTS.  A trace t with t^2 - 4 a nonzero square (nonsquare) mod p is a
+    split (nonsplit) torus; t = +-2 is central or unipotent up to sign."""
+    a, b, c, d = elems.T
     leg = np.full(p, -1, dtype=np.int64)  # Legendre symbol of 0..p-1
     leg[0] = 0
     leg[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
     t = (a + d) % p
-    disc = leg[(t * t - 4) % p]
-    # t = +-2: unipotent up to sign, h = sign*g, with the shear invariant of
-    # classify()
-    sign = np.where(t == 2, 1, -1)
-    hb, hc = (sign * b) % p, (sign * c) % p
-    square = leg[np.where(hc != 0, (p - hc) % p, hb)]
-    slot = np.where(disc == 1, 2, 3)
-    slot = np.where(disc == 0, np.where(sign == 1, 4, 6) + (square == -1), slot)
-    diagonal = (b == 0) & (c == 0)
-    slot[diagonal & (a == 1) & (d == 1)] = 0
-    slot[diagonal & (a == p - 1) & (d == p - 1)] = 1
-    return 8 * t + slot
+    # t = +-2: h = sign*g is conjugate to [[1, x], [0, 1]], and conjugating
+    # that by [[a', b'], [c', d']] gives c_h = -x c'^2 and b_h = x a'^2, so
+    # the square class of the shear x is that of -c_h, or of b_h when c_h = 0
+    shear = np.where(t == 2, 1, -1) * np.where(c != 0, -c, b) % p
+    return 8 * t + _SLOT_OF[leg[(t * t - 4) % p] + 1, (t != 2).astype(np.int64),
+                            leg[shear] + 1]
 
 
 def _decode(code: int) -> ConjClassLabel:
@@ -293,8 +194,7 @@ def class_statistics(p: int, validate: bool = False) -> dict:
     the class equation are always checked; with validate the label partition
     is also checked against a brute-force orbit enumeration, which costs
     O(p^6) and is meant for tests."""
-    if p <= 3 or not _is_prime(p):
-        raise ValueError("p must be an odd prime > 3")
+    _check_prime(p)
     elems = all_elements(p)
     codes = _classify_codes(elems, p)
     uniq, counts = np.unique(codes, return_counts=True)
@@ -324,8 +224,12 @@ def class_statistics(p: int, validate: bool = False) -> dict:
 def power_classes(data: SchottkyData, T: float,
                   depth_cap: int = 24) -> list[tuple[GeodesicClass, int, int, float]]:
     """All conjugacy classes (C, k) of the group with k*length(C) <= T,
-    as tuples (primitive, k, integer trace of C^k, k*length)."""
-    prims = sk.primitive_geodesics(data, T, depth_cap=depth_cap, warn=[])
+    as tuples (primitive, k, integer trace of C^k, k*length).  Raises
+    ValueError when the geodesic table stops short of T."""
+    warn: list = []
+    prims = sk.primitive_geodesics(data, T, depth_cap=depth_cap, warn=warn)
+    if warn:
+        raise ValueError(f"geodesic table incomplete to length {T}: {warn[0]}")
     out = []
     for c in prims:
         t1 = c.trace_int
@@ -354,18 +258,15 @@ def conj1_check(data: SchottkyData, p: int, beta: float) -> list:
     conjugacy mod p.  Returns the violating pairs."""
     if beta >= 2:
         raise ValueError("beta must be < 2")
+    _check_prime(p)
     classes = power_classes(data, beta * math.log(p))
-    entries = [(c, k, t, classify(gk))
-               for (c, k, t, _), gk in zip(classes, _reduced_powers(data, p, classes))]
+    codes = _classify_codes(_reduced_powers(data, p, classes), p).tolist()
+    entries = [(c.word, k, t, code) for (c, k, t, _), code in zip(classes, codes)]
     violations = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            ci, ki, ti, li = entries[i]
-            cj, kj, tj, lj = entries[j]
-            same_trace = ti == tj
-            conjugate = li == lj
-            if same_trace != conjugate:
-                violations.append(((ci.word, ki), (cj.word, kj), ti, tj, li, lj))
+    for i, (wi, ki, ti, li) in enumerate(entries):
+        for wj, kj, tj, lj in entries[i + 1:]:
+            if (ti == tj) != (li == lj):
+                violations.append(((wi, ki), (wj, kj), ti, tj, _decode(li), _decode(lj)))
     return violations
 
 
@@ -381,6 +282,7 @@ def character_average(data: SchottkyData, p: int, T: Optional[float] = None,
 
     Also returns the certificate (p-1) * (number of paired class pairs with
     k*length <= T*(1-eps)) as a lower bound."""
+    _check_prime(p)
     if T is None:
         T = beta * math.log(p)
     if phi0 is None:
@@ -389,16 +291,18 @@ def character_average(data: SchottkyData, p: int, T: Optional[float] = None,
     W, W_inv = defaultdict(float), defaultdict(float)
     n, n_inv = defaultdict(int), defaultdict(int)
     classes = power_classes(data, T)
-    for (c, k, _, ell), gk in zip(classes, _reduced_powers(data, p, classes)):
-        lab = classify(gk)
-        lab_inv = classify(gk.inv())
+    g = _reduced_powers(data, p, classes)
+    # C^k and its inverse [[d, -b], [-c, a]], classified in one pass
+    g_inv = np.column_stack([g[:, 3], -g[:, 1] % p, -g[:, 2] % p, g[:, 0]])
+    codes = _classify_codes(np.concatenate([g, g_inv]), p).tolist()
+    for (c, k, _, ell), lab, lab_inv in zip(classes, codes, codes[len(classes):]):
         w = (c.length / (1.0 - math.exp(k * c.length))) * phi0(k * c.length / T)
         W[lab] += w
         W_inv[lab_inv] += w
         if ell <= cut:
             n[lab] += 1
             n_inv[lab_inv] += 1
-    s_value = sum(centralizer_size(lab, p) * w * W_inv[lab]
+    s_value = sum(centralizer_size(_decode(lab), p) * w * W_inv[lab]
                   for lab, w in W.items() if lab in W_inv)
     pair_count = sum(v * n_inv[lab] for lab, v in n.items() if lab in n_inv)
     mt = trace_multiplicities(data, cut)
@@ -413,43 +317,20 @@ def character_average(data: SchottkyData, p: int, T: Optional[float] = None,
     }
 
 
-def abelian_average_crosscheck(data: SchottkyData, N: int, T: float,
-                               phi0: Optional[Callable] = None) -> tuple[float, float]:
-    """Toy oracle: on the abelian quotient Z/N (first homology coordinate),
-    the Dirac-form pair sum must equal the direct character sum
-    sum_alpha |I(chi_alpha, T)|^2."""
-    if phi0 is None:
-        phi0 = lambda x: 1.0 if abs(x) <= 1.0 else 0.0
-    rows = []
-    for c, k, t, ell in power_classes(data, T):
-        proj = (k * c.homology[0]) % N
-        w = (c.length / (1.0 - math.exp(k * c.length))) * phi0(k * c.length / T)
-        rows.append((proj, w))
-    direct = 0.0
-    for alpha in range(N):
-        I = sum(w * np.exp(2j * np.pi * alpha * g / N) for g, w in rows)
-        direct += abs(I) ** 2
-    # pairs with equal projection, grouped by it: N * sum_g (sum_{proj=g} w)^2
-    mass = defaultdict(float)
-    for g, w in rows:
-        mass[g] += w
-    dirac = N * sum(v * v for v in mass.values())
-    return float(direct), float(dirac)
-
-
 def surjectivity_check(data: SchottkyData, p: int) -> bool:
     """BFS over generator images reaches all of SL2(F_p)."""
-    gens = [FpMatrix(*g, p) for g in _int_generators(data)]
-    seen = {FpMatrix(1, 0, 0, 1, p).key()}
-    frontier = [FpMatrix(1, 0, 0, 1, p)]
+    _check_prime(p)
+    gens = _int_generators(data)
+    seen = {(1, 0, 0, 1)}
+    frontier = [(1, 0, 0, 1)]
     target = group_order(p)
     while frontier and len(seen) < target:
         nxt = []
         for h in frontier:
             for g in gens:
-                prod = h.mul(g)
-                if prod.key() not in seen:
-                    seen.add(prod.key())
+                prod = _mul_mod_p(h, g, p)
+                if prod not in seen:
+                    seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
     return len(seen) == target

@@ -13,7 +13,7 @@ import math
 import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,13 +21,10 @@ __all__ = [
     "MoebiusMap",
     "Disc",
     "SchottkyData",
-    "Word",
     "GeodesicClass",
     "ValidationReport",
     "validate",
-    "enumerate_words",
     "words_array",
-    "word_map",
     "primitive_geodesics",
     "primitive_classes_up_to_depth",
     "log_derivative_cocycle",
@@ -162,21 +159,6 @@ class SchottkyData:
         return np.array([self.gen(k).as_array() for k in self.letters])
 
 
-class Word(tuple):
-    """Admissible reduced word: tuple of 1-based letters, no letter followed
-    by its inverse."""
-
-    def __new__(cls, letters: Sequence[int], m: int):
-        w = super().__new__(cls, tuple(int(x) for x in letters))
-        for x in w:
-            if not 1 <= x <= 2 * m:
-                raise ValueError(f"letter {x} out of range for m={m}")
-        for i in range(len(w) - 1):
-            if w[i + 1] == _inv(w[i], m):
-                raise ValueError(f"inadmissible word: letter {w[i]} followed by its inverse")
-        return w
-
-
 def _inv(k: int, m: int) -> int:
     return k + m if k <= m else k - m
 
@@ -226,7 +208,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(data: SchottkyData, n_boundary: int = 16) -> ValidationReport:
+# Points sampled on each disc boundary by validate.
+N_BOUNDARY = 16
+
+
+def validate(data: SchottkyData) -> ValidationReport:
     """Check disc disjointness and the disc-swap condition
     gamma_i(D_i) = complement of closure(D_{m+i}).  Unit determinants and
     positive radii need no check: MoebiusMap and Disc enforce them.
@@ -251,7 +237,7 @@ def validate(data: SchottkyData, n_boundary: int = 16) -> ValidationReport:
         g = data.gen(i)
         src = data.discs[i - 1]
         dst = data.discs[data.m + i - 1]
-        pts = src.boundary_points(n_boundary)
+        pts = src.boundary_points(N_BOUNDARY)
         images = np.array([g(z) for z in pts])
         res = float(np.max(np.abs(np.abs(images - dst.center) - dst.radius)))
         worst_res = max(worst_res, res)
@@ -269,18 +255,7 @@ def validate(data: SchottkyData, n_boundary: int = 16) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Word enumeration
 
-def enumerate_words(data: SchottkyData, n: int,
-                    end_constraint: Optional[int] = None) -> Iterator[Word]:
-    """Yield the admissible words of length n, each exactly once, in
-    lexicographic order; optionally only those whose last letter != j."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    arr = words_array(data.m, n, end_constraint)
-    for row in arr:
-        yield Word((row + 1).tolist(), data.m)
-
-
-def words_array(m: int, n: int, end_constraint: Optional[int] = None) -> np.ndarray:
+def words_array(m: int, n: int) -> np.ndarray:
     """(count, n) int64 array of admissible words with 0-based letters."""
     two_m = 2 * m
     cur = np.arange(two_m, dtype=np.int64)[:, None]
@@ -293,8 +268,6 @@ def words_array(m: int, n: int, end_constraint: Optional[int] = None) -> np.ndar
         rows = np.repeat(cur, two_m - 1, axis=0)
         cols = np.broadcast_to(nxt, allowed.shape)[allowed]
         cur = np.concatenate([rows, cols[:, None]], axis=1)
-    if end_constraint is not None:
-        cur = cur[cur[:, -1] != end_constraint - 1]
     return cur
 
 
@@ -321,18 +294,6 @@ def word_products(gens: np.ndarray, words: np.ndarray) -> np.ndarray:
     for t in range(1, words.shape[1]):
         out = np.einsum("kij,kjl->kil", out, gens[words[:, t]])
     return out
-
-
-def word_map(data: SchottkyData, w: Sequence[int]) -> MoebiusMap:
-    """Compose generators along w (1-based letters); empty word -> identity."""
-    if isinstance(w, Word):
-        letters = tuple(w)
-    else:
-        letters = tuple(Word(w, data.m)) if len(w) > 0 else ()
-    g = MoebiusMap.identity()
-    for k in letters:
-        g = g.compose(data.gen(k))
-    return g
 
 
 def word_homology(m: int, letters: Sequence[int]) -> tuple[int, ...]:

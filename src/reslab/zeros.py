@@ -30,6 +30,14 @@ EULER_MARGIN = 0.1
 CONTOUR_MIN_MODULUS = 1e-6
 NEWTON_TOL = 1e-10
 REFINE_MAX_DETS = 150
+# _winding: the fixed subdivision of each edge, and the most halvings of one
+# of its segments.
+BASE_SEGMENTS = 16
+MAX_DEPTH = 48
+# resonances: the side below which a cell is refined without splitting, and
+# the margin added around the requested rectangle.
+MIN_CELL = 1e-3
+PAD = 1e-3
 
 
 class ContourError(RuntimeError):
@@ -150,8 +158,7 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
     return det
 
 
-def _winding(det: Callable, corners: Sequence[complex],
-             max_depth: int = 48, base_segments: int = 16) -> int:
+def _winding(det: Callable, corners: Sequence[complex]) -> int:
     """Winding number of det along the closed polygon through corners,
     by adaptive phase accumulation with steps kept below pi/2.
 
@@ -178,14 +185,14 @@ def _winding(det: Callable, corners: Sequence[complex],
         d = cmath.phase(fb / fa)
         if abs(d) < math.pi / 2:
             return d
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise ContourError((a + b) / 2, abs(fa))
         mid = (a + b) / 2
         fm = f(mid)
         return seg_phase(a, mid, fa, fm, depth + 1) + seg_phase(mid, b, fm, fb, depth + 1)
 
     pts = list(corners) + [corners[0]]
-    edges = [[a + (b - a) * t / base_segments for t in range(base_segments + 1)]
+    edges = [[a + (b - a) * t / BASE_SEGMENTS for t in range(BASE_SEGMENTS + 1)]
              for a, b in zip(pts[:-1], pts[1:])]
     if hasattr(det, "many"):
         det.many([s for nodes in edges for s in nodes])
@@ -249,8 +256,7 @@ def _split_positions(lo: float, hi: float):
 
 
 def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
-               lmax: int = 16, min_cell: float = 1e-3, pad: float = 1e-3,
-               det: Optional[Callable] = None) -> ResonanceSet:
+               lmax: int = 16, det: Optional[Callable] = None) -> ResonanceSet:
     """Locate the zeros of det(I - L_{rho,s}) in the rectangle, with
     multiplicities from winding counts on isolating boxes.
 
@@ -259,7 +265,7 @@ def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
     neither split nor missed.
     """
     x0, x1, y0, y1 = (float(v) for v in rectangle)
-    work = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+    work = (x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD)
     if det is None:
         det = make_det(data, twist, lmax)
 
@@ -297,11 +303,11 @@ def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
         if count == 0:
             return
         size = max(rx1 - rx0, ry1 - ry0)
-        if count == 1 or size < min_cell:
+        if count == 1 or size < MIN_CELL:
             center = complex((rx0 + rx1) / 2, (ry0 + ry1) / 2)
             s, res, ok = refine_zero(data, twist, center, det=det, mult=count)
-            inside = (rx0 - min_cell <= s.real <= rx1 + min_cell
-                      and ry0 - min_cell <= s.imag <= ry1 + min_cell)
+            inside = (rx0 - MIN_CELL <= s.real <= rx1 + MIN_CELL
+                      and ry0 - MIN_CELL <= s.imag <= ry1 + MIN_CELL)
             if not ok or not inside:
                 unresolved.append(rect)
                 zeros.append((center, count))

@@ -2,15 +2,20 @@
 transfer blocks built block by block from the definitions, central-difference
 Newton for zero refinement, a quadrature Fourier transform, the
 determinant of one full matrix, the character scan with one
-determinant per grid point, and sampled pressure curves."""
+determinant per grid point, sampled pressure curves, reduced words one at a
+time, the dense Cayley Laplacian, and SL2(F_p) arithmetic one matrix at a
+time with the scalar conjugacy classifier."""
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from reslab import thermo, transfer, zeros
+from reslab import cayley, thermo, transfer, zeros
+from reslab import congruence as cg
+from reslab import schottky as sk
 
 
 def scalar_block(data, s, lmax, i, j):
@@ -140,3 +145,165 @@ def pressure_curve(data, sigmas, lmax=thermo.DEFAULT_LMAX):
     """The pressure at each sigma, with the critical exponent."""
     samples = tuple((float(s), thermo.pressure(data, s, lmax)) for s in sigmas)
     return PressureCurve(samples=samples, delta=thermo.critical_exponent(data, lmax))
+
+
+def word_map(data, w):
+    """Compose generators along w (1-based letters), one Moebius product
+    per letter; empty word -> identity.  A letter out of range or followed
+    by its inverse raises ValueError."""
+    m = data.m
+    for i, x in enumerate(w):
+        if not 1 <= x <= 2 * m:
+            raise ValueError(f"letter {x} out of range for m={m}")
+        if i and x == data.inverse_letter(w[i - 1]):
+            raise ValueError(f"inadmissible word: letter {w[i - 1]} followed by its inverse")
+    g = sk.MoebiusMap.identity()
+    for k in w:
+        g = g.compose(data.gen(k))
+    return g
+
+
+def dense_laplacian(graph):
+    """I - A/k of the Cayley graph, from its adjacency matrix."""
+    A = cayley.adjacency_matrix(graph)
+    return np.eye(A.shape[0]) - A / graph.degree
+
+
+def legendre(x, p):
+    """1 for nonzero squares, -1 for nonsquares, 0 for 0 (mod p)."""
+    x %= p
+    if x == 0:
+        return 0
+    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+
+
+@dataclass(frozen=True)
+class FpMatrix:
+    a: int
+    b: int
+    c: int
+    d: int
+    p: int
+
+    def __post_init__(self):
+        p = self.p
+        if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError("p must be an odd prime > 3")
+        for f in ("a", "b", "c", "d"):
+            object.__setattr__(self, f, getattr(self, f) % p)
+        if (self.a * self.d - self.b * self.c) % p != 1:
+            raise ValueError("determinant must be 1 mod p")
+
+    @property
+    def trace(self):
+        return (self.a + self.d) % self.p
+
+    def mul(self, other):
+        p = self.p
+        return FpMatrix(
+            (self.a * other.a + self.b * other.c) % p,
+            (self.a * other.b + self.b * other.d) % p,
+            (self.c * other.a + self.d * other.c) % p,
+            (self.c * other.b + self.d * other.d) % p, p)
+
+    def inv(self):
+        return FpMatrix(self.d, -self.b, -self.c, self.a, self.p)
+
+    def neg(self):
+        return FpMatrix(-self.a, -self.b, -self.c, -self.d, self.p)
+
+    def is_identity(self):
+        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
+
+    def key(self):
+        return (self.a, self.b, self.c, self.d)
+
+
+def _int_matrix(g):
+    ints = [int(round(v)) for v in (g.a, g.b, g.c, g.d)]
+    if max(abs(v - i) for v, i in zip((g.a, g.b, g.c, g.d), ints)) > 1e-9:
+        raise ValueError("matrix entries are not integers")
+    return ints
+
+
+def reduce_mod_p(obj, p, data=None):
+    """Entrywise reduction of an integer Moebius map, or of the word of a
+    geodesic class or a tuple of letters composed from the group's
+    generators, one letter at a time."""
+    if isinstance(obj, sk.MoebiusMap):
+        return FpMatrix(*_int_matrix(obj), p)
+    word = obj.word if isinstance(obj, sk.GeodesicClass) else obj
+    g = FpMatrix(1, 0, 0, 1, p)
+    for k in word:
+        g = g.mul(FpMatrix(*_int_matrix(data.gen(k)), p))
+    return g
+
+
+def classify(g):
+    """The conjugacy class label of one FpMatrix."""
+    p = g.p
+    t = g.trace
+    if t == 2 % p and g.is_identity():
+        return cg.ConjClassLabel(trace=t, kind="central", sign=1)
+    if t == (p - 2) % p and g.neg().is_identity():
+        return cg.ConjClassLabel(trace=t, kind="central", sign=-1)
+    disc = (t * t - 4) % p
+    if disc != 0:
+        if legendre(disc, p) == 1:
+            return cg.ConjClassLabel(trace=t, kind="split-torus")
+        return cg.ConjClassLabel(trace=t, kind="nonsplit-torus")
+    # t = +-2, non central: unipotent up to sign; h is conjugate to
+    # [[1, x], [0, 1]], whose square class is that of -c_h, or of b_h when
+    # c_h = 0
+    sign = 1 if t == 2 else -1
+    h = g if sign == 1 else g.neg()
+    x = (p - h.c) % p if h.c else h.b
+    return cg.ConjClassLabel(trace=t, kind="unipotent", sign=sign,
+                             square_class=legendre(x, p))
+
+
+def reduced_power(data, c, k, p):
+    """C^k mod p for a geodesic class C, by repeated FpMatrix products."""
+    g = reduce_mod_p(c, p, data=data)
+    gk = g
+    for _ in range(k - 1):
+        gk = gk.mul(g)
+    return gk
+
+
+def conj1_double_loop(data, p, beta):
+    """congruence.conj1_check over every pair i < j of power classes, one
+    scalar classify per class."""
+    entries = [(c, k, t, classify(reduced_power(data, c, k, p)))
+               for c, k, t, _ in cg.power_classes(data, beta * math.log(p))]
+    violations = []
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            ci, ki, ti, li = entries[i]
+            cj, kj, tj, lj = entries[j]
+            if (ti == tj) != (li == lj):
+                violations.append(((ci.word, ki), (cj.word, kj), ti, tj, li, lj))
+    return violations
+
+
+def abelian_average_crosscheck(data, N, T, phi0=None):
+    """On the abelian quotient Z/N (first homology coordinate), the direct
+    character sum sum_alpha |I(chi_alpha, T)|^2 and its Dirac form, the
+    pair sum grouped by projection."""
+    if phi0 is None:
+        phi0 = lambda x: 1.0 if abs(x) <= 1.0 else 0.0
+    rows = []
+    for c, k, t, ell in cg.power_classes(data, T):
+        proj = (k * c.homology[0]) % N
+        w = (c.length / (1.0 - math.exp(k * c.length))) * phi0(k * c.length / T)
+        rows.append((proj, w))
+    direct = 0.0
+    for alpha in range(N):
+        I = sum(w * np.exp(2j * np.pi * alpha * g / N) for g, w in rows)
+        direct += abs(I) ** 2
+    # pairs with equal projection, grouped by it: N * sum_g (sum_{proj=g} w)^2
+    mass = defaultdict(float)
+    for g, w in rows:
+        mass[g] += w
+    dirac = N * sum(v * v for v in mass.values())
+    return float(direct), float(dirac)

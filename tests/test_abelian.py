@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reslab import abelian, schottky as sk, thermo, transfer, zeros
+from reslab import abelian, explicit_formula, schottky as sk, thermo, transfer, zeros
 from reslab.abelian import AbelianQuotient
 from reslab.transfer import TwistSpec
 
@@ -25,15 +25,21 @@ def _geo(homology):
                             homology=tuple(homology))
 
 
+def _character(q, alpha, homology):
+    """chi_alpha of the quotient q on a class with this homology vector:
+    the abelian character at theta = alpha / N."""
+    return explicit_formula.abelian_character(q.theta(alpha))(_geo(homology), 1)
+
+
 def test_character_trivial_alpha():
     q = AbelianQuotient((4, 3))
     for h in ((1, 0), (2, -1), (0, 5)):
-        assert abs(abelian.character_of(q, (0, 0), _geo(h)) - 1.0) < 1e-15
+        assert abs(_character(q, (0, 0), h) - 1.0) < 1e-15
 
 
 def test_character_direct_value():
     q = AbelianQuotient((4, 1))
-    v = abelian.character_of(q, (1, 0), _geo((1, 0)))
+    v = _character(q, (1, 0), (1, 0))
     assert abs(v - 1j) < 1e-15
 
 
@@ -42,14 +48,15 @@ def test_character_multiplicative():
     alpha = (2, 3)
     h1, h2 = (1, -2), (3, 4)
     combined = tuple(a + b for a, b in zip(h1, h2))
-    v = abelian.character_of(q, alpha, _geo(h1)) * abelian.character_of(q, alpha, _geo(h2))
-    assert abs(v - abelian.character_of(q, alpha, _geo(combined))) < 1e-12
+    v = _character(q, alpha, h1) * _character(q, alpha, h2)
+    assert abs(v - _character(q, alpha, combined)) < 1e-12
 
 
 def test_quotient_validation():
     with pytest.raises(ValueError):
         AbelianQuotient((0, 2))
     assert AbelianQuotient((3, 4)).order == 12
+    assert AbelianQuotient((2 ** 32, 2 ** 32)).order == 2 ** 64
 
 
 def test_trivial_quotient_gives_plain_zeros(sym3, delta3):

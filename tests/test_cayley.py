@@ -7,8 +7,10 @@ from reslab import cayley as cy
 from reslab import schottky as sk
 from reslab.abelian import AbelianQuotient
 
+from oracles import dense_laplacian
 
-def test_graph_validation():
+
+def test_graph_validation(monkeypatch):
     with pytest.raises(ValueError):
         # not symmetric
         cy.CayleyGraph(AbelianQuotient((5,)), ((1,),))
@@ -20,6 +22,12 @@ def test_graph_validation():
         cy.CayleyGraph(AbelianQuotient((4,)), ((2,),))
     with pytest.raises(ValueError):
         cy.CayleyGraph(AbelianQuotient((6,)), ((2,), (4,), (2,)))
+    # the order cap is checked before the connectivity walk over every vertex
+    monkeypatch.setattr(cy.CayleyGraph, "_connected", lambda self: pytest.fail("walked"))
+    with pytest.raises(ValueError, match="order above"):
+        cy.CayleyGraph(AbelianQuotient((cy.MAX_ORDER + 1,)), ((1,), (cy.MAX_ORDER,)))
+    with pytest.raises(ValueError, match="order above"):
+        cy.CayleyGraph(AbelianQuotient((2 ** 32, 2 ** 32)), ((1, 0), (2 ** 32 - 1, 0)))
 
 
 def test_z4_cycle_spectrum():
@@ -39,7 +47,7 @@ def test_character_formula_matches_dense_oracle():
     for g in graphs:
         assert g.order <= 200
         lam = cy.laplacian_eigenvalues(g)
-        oracle = np.sort(np.linalg.eigvalsh(cy.dense_laplacian(g)))
+        oracle = np.sort(np.linalg.eigvalsh(dense_laplacian(g)))
         assert np.abs(lam - oracle).max() < 1e-10
 
 

@@ -39,10 +39,19 @@ def test_validate_pass_and_fail(tmp_path, capsys):
     ["resonances", "--preset", "cylinder", "--rect", "1,0,0,1"],
     ["resonances", "--preset", "cylinder", "--rect", "-0.5,0.5,0,4",
      "--lmax", "1"],
-], ids=["grid_not_int", "reversed_rect", "lmax_1"])
+    # a quotient above cayley.MAX_ORDER is refused before its vertices are
+    # walked
+    ["cayley", "--covers", "2000000"],
+    # order 2^64, which an int64 product would read as 0
+    ["cover-abelian", "--preset", "symmetric3", "--rect", "0.17,0.3,-0.05,0.05",
+     "--moduli", "4294967296,4294967296"],
+], ids=["grid_not_int", "reversed_rect", "lmax_1", "cayley_order_above_cap",
+        "cover_order_above_cap"])
 def test_malformed_input_is_validation_failure(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == 2
-    assert "validation failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation failure" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, code, artifact, key", [

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from reslab import congruence as cg
 from reslab import schottky as sk
-from reslab.congruence import ConjClassLabel, FpMatrix
+
+from oracles import (FpMatrix, abelian_average_crosscheck, classify, conj1_double_loop,
+                     reduce_mod_p, reduced_power)
 
 
 @pytest.fixture(scope="module")
@@ -32,38 +34,51 @@ def test_fpmatrix_validation():
     assert (m.a, m.b, m.c, m.d) == (2, 4, 1, 0)
 
 
+def _label(p, *rows):
+    """The labels congruence._classify_codes gives the rows (a, b, c, d)."""
+    codes = cg._classify_codes(np.array(rows, dtype=np.int64).reshape(-1, 4) % p, p)
+    return [cg._decode(code) for code in codes.tolist()]
+
+
 def test_reduce_identity_and_trace(pair):
-    g = pair.gen(1)
-    m = cg.reduce_mod_p(g, 7)
-    assert m.mul(m.inv()).is_identity()
-    assert m.trace == int(round(g.a + g.d)) % 7
-    word_m = cg.reduce_mod_p((1,), 7, data=pair)
-    assert word_m.key() == m.key()
+    """Each integer letter times its inverse letter is 1 mod p, the trace
+    reduces, and a one-letter class reduces as the oracle reduces the
+    generator."""
+    p = 7
+    gens = cg._int_generators(pair)
+    for k in pair.letters:
+        g = gens[k - 1]
+        assert cg._mul_mod_p(g, gens[pair.inverse_letter(k) - 1], p) == (1, 0, 0, 1)
+        assert (g[0] + g[3]) % p == int(round(pair.gen(k).trace)) % p
+        one = sk.GeodesicClass(word=(k,), length=1.0, trace=0.0, homology=(0,) * pair.m)
+        rows = cg._reduced_powers(pair, p, [(one, 1)])
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [list(reduce_mod_p(pair.gen(k), p).key())]
 
 
 def test_reduce_rejects_non_integer():
     sym3 = sk.preset("symmetric3", t=6.0)
+    with pytest.raises(ValueError, match="not integer"):
+        cg.surjectivity_check(sym3, 7)
     with pytest.raises(ValueError):
-        cg.reduce_mod_p(sym3.gen(1), 7)
+        reduce_mod_p(sym3.gen(1), 7)
 
 
 def test_classify_split_torus_example():
-    lab = cg.classify(FpMatrix(2, 0, 0, 3, 5))
+    [lab] = _label(5, (2, 0, 0, 3))
     assert lab.kind == "split-torus"
     assert lab.trace == 0
 
 
 def test_classify_central():
-    lab = cg.classify(FpMatrix(-1, 0, 0, -1, 5))
+    [lab, lab1] = _label(5, (-1, 0, 0, -1), (1, 0, 0, 1))
     assert lab.kind == "central" and lab.sign == -1
     assert cg.class_size(lab, 5) == 1
-    lab1 = cg.classify(FpMatrix(1, 0, 0, 1, 5))
     assert lab1.kind == "central" and lab1.sign == 1
 
 
 def test_classify_unipotent_distinct():
-    u = cg.classify(FpMatrix(1, 1, 0, 1, 5))
-    up = cg.classify(FpMatrix(1, 2, 0, 1, 5))
+    u, up = _label(5, (1, 1, 0, 1), (1, 2, 0, 1))
     assert u.kind == up.kind == "unipotent"
     assert u != up
     assert {u.square_class, up.square_class} == {1, -1}
@@ -71,7 +86,7 @@ def test_classify_unipotent_distinct():
 
 def test_trace3_mod5_is_unipotent_type():
     # t = 3 mod 5: t^2 - 4 = 5 = 0 mod 5, so central or unipotent up to sign
-    found = cg.classify(FpMatrix(2, 1, 1, 1, 5))
+    [found] = _label(5, (2, 1, 1, 1))
     assert found.kind in ("unipotent", "central")
     assert found.trace == 3
 
@@ -89,7 +104,7 @@ def test_classify_conjugation_invariant(a, b, c, ha, hb, hc):
     if hd is None:
         return
     h = FpMatrix(ha, hb, hc, hd, p)
-    assert cg.classify(g) == cg.classify(h.mul(g).mul(h.inv()))
+    assert _label(p, g.key(), h.mul(g).mul(h.inv()).key()) == [classify(g)] * 2
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -143,7 +158,7 @@ def test_all_elements_matches_loop_listing(p):
 def test_classify_codes_decode_to_classify(p):
     elems = cg.all_elements(p)
     codes = cg._classify_codes(elems, p)
-    scalar = [cg.classify(FpMatrix(*row, p)) for row in elems.tolist()]
+    scalar = [classify(FpMatrix(*row, p)) for row in elems.tolist()]
     assert [cg._decode(c) for c in codes.tolist()] == scalar
 
 
@@ -168,17 +183,28 @@ def test_class_statistics_closed_form(p, validate):
         assert size * cent == cg.group_order(p)
 
 
-def test_class_statistics_never_calls_scalar_classify(monkeypatch):
+def test_every_caller_classifies_through_classify_codes(monkeypatch, pair):
+    """One batched classification per call: every element for the class
+    table, the power classes for trace rigidity, and the power classes
+    followed by their inverses for S(p)."""
     calls = []
-    scalar = cg.classify
+    batched = cg._classify_codes
 
-    def counting(g):
-        calls.append(g)
-        return scalar(g)
+    def counting(elems, p):
+        calls.append((elems.tolist(), p))
+        return batched(elems, p)
 
-    monkeypatch.setattr(cg, "classify", counting)
+    monkeypatch.setattr(cg, "_classify_codes", counting)
     cg.class_statistics(43)
-    assert len(calls) == 0
+    n = len(cg.power_classes(pair, 1.5 * math.log(31)))
+    cg.conj1_check(pair, 31, 1.5)
+    cg.character_average(pair, 31)
+    assert [(len(rows), p) for rows, p in calls] == [
+        (cg.group_order(43), 43), (n, 31), (2 * n, 31)]
+    rows = calls[2][0]
+    assert rows[:n] == calls[1][0]
+    assert all(cg._mul_mod_p(g, g_inv, 31) == (1, 0, 0, 1)
+               for g, g_inv in zip(rows[:n], rows[n:]))
 
 
 def test_orbit_oracle_runs_only_on_request(monkeypatch):
@@ -237,6 +263,35 @@ def test_conj1_beta_cap(pair):
         cg.conj1_check(pair, 101, 2.0)
 
 
+@pytest.mark.parametrize("name, p", [("sl2z-pair", 5), ("sl2z-pair", 7), ("sl2z-pair", 11),
+                                     ("sl2z-crossed", 11), ("sl2z-crossed", 13),
+                                     ("sl2z-crossed", 19)])
+def test_conj1_matches_scalar_double_loop(name, p):
+    """The violations, labels and order of the oracle's double loop over
+    one scalar classify per class; sl2z-crossed at p = 13 and 19 has four
+    violations each."""
+    data = sk.preset(name)
+    assert cg.conj1_check(data, p, 1.9) == conj1_double_loop(data, p, 1.9)
+
+
+@pytest.mark.parametrize("p", [4, 9])
+@pytest.mark.parametrize("call", [lambda d, p: cg.conj1_check(d, p, 1.5),
+                                  lambda d, p: cg.character_average(d, p),
+                                  cg.surjectivity_check],
+                         ids=["conj1_check", "character_average", "surjectivity_check"])
+def test_composite_p_is_rejected(pair, call, p):
+    with pytest.raises(ValueError, match="prime"):
+        call(pair, p)
+
+
+def test_truncated_geodesic_table_is_refused(pair):
+    """Depth 2 lists 16 of the 18 power classes of length <= 8; the
+    truncated table raises instead of reaching the pair sums."""
+    assert len(cg.power_classes(pair, 8.0)) == 18
+    with pytest.raises(ValueError, match="incomplete"):
+        cg.power_classes(pair, 8.0, depth_cap=2)
+
+
 def test_conj1_small_p_reports_counts(pair):
     # adversarial small p: violations allowed, but the check must run and
     # every reported pair must genuinely disagree
@@ -264,7 +319,7 @@ def test_character_average_energy_inequality(pair):
 
 def test_dirac_form_matches_abelian_oracle(pair):
     for N in (2, 3, 6):
-        direct, dirac = cg.abelian_average_crosscheck(pair, N, 7.0)
+        direct, dirac = abelian_average_crosscheck(pair, N, 7.0)
         assert abs(direct - dirac) < 1e-10 * max(1.0, abs(direct))
 
 
@@ -295,11 +350,8 @@ def test_grouped_pair_sums_match_double_loop(name, p):
     T = beta * math.log(p)
     rows = []  # (length, weight, label of C^k, label of its inverse)
     for c, k, _, ell in cg.power_classes(data, T):
-        g = cg.reduce_mod_p(c, p, data=data)
-        gk = g
-        for _ in range(k - 1):
-            gk = gk.mul(g)
-        rows.append((ell, _weight(c, k, T), cg.classify(gk), cg.classify(gk.inv())))
+        gk = reduced_power(data, c, k, p)
+        rows.append((ell, _weight(c, k, T), classify(gk), classify(gk.inv())))
     paired = lambda x, y: x[2] == y[3]
     S = _pair_sum(rows, lambda r: r[1], paired,
                   lambda x, y: cg.centralizer_size(x[2], p))
@@ -314,7 +366,7 @@ def test_grouped_pair_sums_match_double_loop(name, p):
             for c, k, _, _ in cg.power_classes(data, T)]
     dirac = _pair_sum(proj, lambda r: r[1], lambda x, y: x[0] == y[0],
                       lambda x, y: p)
-    _, grouped = cg.abelian_average_crosscheck(data, p, T)
+    _, grouped = abelian_average_crosscheck(data, p, T)
     assert abs(grouped - dirac) <= 1e-12 * abs(dirac)
 
 
