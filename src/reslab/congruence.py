@@ -26,6 +26,11 @@ __all__ = [
     "surjectivity_check",
 ]
 
+# Largest group order p(p^2 - 1) that class_statistics lists element by
+# element, at about 91 bytes per element with temporaries: p <= 157.
+MAX_GROUP_ORDER = 4_000_000
+
+
 def _check_prime(p: int) -> None:
     if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be an odd prime > 3")
@@ -195,6 +200,9 @@ def class_statistics(p: int, validate: bool = False) -> dict:
     is also checked against a brute-force orbit enumeration, which costs
     O(p^6) and is meant for tests."""
     _check_prime(p)
+    if group_order(p) > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {group_order(p)} of SL2(F_{p}) is above "
+                         f"the cap of {MAX_GROUP_ORDER}")
     elems = all_elements(p)
     codes = _classify_codes(elems, p)
     uniq, counts = np.unique(codes, return_counts=True)

@@ -60,10 +60,24 @@ def _cell(v) -> str:
     return s
 
 
+def _column(values: tuple) -> tuple[str, Sequence]:
+    """A column's %-format and the values it formats: one format for a
+    column of floats or of integers, else the column's cells rendered one
+    by one."""
+    types = set(map(type, values))
+    if all(issubclass(t, (float, np.floating)) for t in types):
+        return "%.17g", values
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
+        return "%d", values
+    return "%s", [_cell(v) for v in values]
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Every cell as _cell renders it; rows must all have the same length."""
+    columns = [_column(c) for c in zip(*rows, strict=True)]
+    template = ",".join(fmt for fmt, _ in columns)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines += [template % row for row in zip(*(vals for _, vals in columns))]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

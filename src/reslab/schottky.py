@@ -403,6 +403,30 @@ def primitive_classes_up_to_depth(data: SchottkyData, depth: int) -> list[Geodes
     return out
 
 
+@lru_cache(maxsize=64)
+def _shortest_bounds(data: SchottkyData, depth: int) -> tuple[float, ...]:
+    """Upper bounds on the shortest primitive class at word depths
+    1..depth: the length of a^(n-1) b, primitive and cyclically reduced,
+    minimised over letters a and b not in {a, a^-1} (infinite when m = 1)."""
+    two_m = 2 * data.m
+    pairs = [(a, b) for a in range(two_m) for b in range(two_m)
+             if b != a and b != (a + data.m) % two_m]
+    if not pairs:
+        return (math.inf,) * depth
+    a, b = np.array(pairs).T
+    gens = data.gens_array()
+    power = np.broadcast_to(np.eye(2), (len(pairs), 2, 2))
+    out = []
+    for _ in range(depth):
+        mats = power @ gens[b]
+        tr = mats[:, 0, 0] + mats[:, 1, 1]
+        if data.integer_traces:
+            tr = np.rint(tr)
+        out.append(float(_length_from_trace(tr).min()))
+        power = power @ gens[a]
+    return tuple(out)
+
+
 def primitive_geodesics(data: SchottkyData, max_length: float,
                         depth_cap: int = 24,
                         warn: Optional[list] = None) -> list[GeodesicClass]:
@@ -412,24 +436,30 @@ def primitive_geodesics(data: SchottkyData, max_length: float,
     Completeness is guaranteed by growing the word depth until the shortest
     class at a depth exceeds max_length.  If the depth cap is hit first, or
     the next depth would list more than MAX_DEPTH_WORDS words, enumeration
-    stops and a warning string is appended to `warn` (when given).
+    stops and a warning string is appended to `warn` (when given).  A length
+    that some class reaches at every depth within the cap and the budget is
+    refused that way before any enumeration, with an empty list.
     """
     if max_length <= 0:
         raise ValueError("max_length must be positive")
-    out: list[GeodesicClass] = []
     stop = f"word depth cap {depth_cap} reached before length {max_length}"
+    depth = 0
     for n in range(1, depth_cap + 1):
         words = 2 * data.m * (2 * data.m - 1) ** (n - 1)
         if words > MAX_DEPTH_WORDS:
             stop = (f"depth {n} has {words} words, above the budget of "
                     f"{MAX_DEPTH_WORDS}, before length {max_length}")
             break
-        classes = _classes_at_depth(data, n)
-        shortest = min((c.length for c in classes), default=math.inf)
-        out.extend(c for c in classes if c.length <= max_length)
-        if shortest > max_length:
-            stop = None
-            break
+        depth = n
+    out: list[GeodesicClass] = []
+    if max(_shortest_bounds(data, depth), default=-math.inf) > max_length:
+        for n in range(1, depth + 1):
+            classes = _classes_at_depth(data, n)
+            shortest = min((c.length for c in classes), default=math.inf)
+            out.extend(c for c in classes if c.length <= max_length)
+            if shortest > max_length:
+                stop = None
+                break
     if stop is not None and warn is not None:
         warn.append(stop)
     out.sort(key=lambda c: (c.length, c.word))

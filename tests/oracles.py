@@ -1,10 +1,10 @@
 """Reference constructions that the tests compare the program against:
 transfer blocks built block by block from the definitions, central-difference
-Newton for zero refinement, a quadrature Fourier transform, the
-determinant of one full matrix, the character scan with one
-determinant per grid point, sampled pressure curves, reduced words one at a
-time, the dense Cayley Laplacian, and SL2(F_p) arithmetic one matrix at a
-time with the scalar conjugacy classifier."""
+Newton for zero refinement, a quadrature Fourier transform, the test-function
+width normaliser summed term by term, the determinant of one full matrix, the
+character scan with one determinant per grid point, sampled pressure curves,
+reduced words one at a time, the dense Cayley Laplacian, and SL2(F_p)
+arithmetic one matrix at a time with the scalar conjugacy classifier."""
 
 import math
 from collections import defaultdict
@@ -97,6 +97,15 @@ def fourier_grid(tf, xi):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     h = tf.x[1] - tf.x[0]
     return np.array([np.sum(tf.values * np.exp(-1j * w * tf.x)) * h for w in xi])
+
+
+def width_normalizer_sum(eps, cutoff=2_000_000):
+    """The width normaliser of explicit_formula summed term by term:
+    1 / (sum_{j<=cutoff} 1/(j log(1+j)^{1+eps}) + log(cutoff+1.5)^{-eps}/eps)."""
+    j = np.arange(1, cutoff + 1, dtype=float)
+    head = float(np.sum(1.0 / (j * np.log(1.0 + j) ** (1.0 + eps))))
+    tail = (math.log(cutoff + 1.5) ** (-eps)) / eps
+    return 1.0 / (head + tail)
 
 
 def fredholm_det(M):

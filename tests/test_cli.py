@@ -92,6 +92,16 @@ def test_beta_at_upper_end_is_rejected_at_the_flag(tmp_path, capsys):
     assert "--beta must be in (0, 2)" in capsys.readouterr().err
 
 
+def test_congruence_prime_above_group_order_cap_is_rejected(tmp_path, capsys):
+    """SL2(F_509) has 1.3e8 elements, about 12 GB as listed rows; the run
+    is refused before any element is listed."""
+    assert run(["congruence", "--preset", "sl2z-pair", "--prime", "509",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation failure" in err and "cap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_explicit_formula_beyond_word_budget_is_rejected(tmp_path, capsys):
     """Length 100 on symmetric3 would need word depths whose listings do not
     fit in memory; enumeration stops at the word budget and the run exits 2."""

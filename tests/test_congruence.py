@@ -127,6 +127,12 @@ def test_class_statistics_f5_values():
     assert kinds.count("nonsplit-torus") == (5 - 1) // 2
 
 
+def test_class_statistics_refuses_group_order_above_cap():
+    assert cg.group_order(101) <= cg.MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match="cap"):
+        cg.class_statistics(163)
+
+
 PRIMES_TO_43 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
 

@@ -6,7 +6,7 @@ import pytest
 from reslab import explicit_formula as ef
 from reslab import schottky as sk
 
-from oracles import fourier_grid
+from oracles import fourier_grid, width_normalizer_sum
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,13 @@ def test_width_deficit_recorded(tf12):
     assert 0.0 < tf12.tail_deficit < 1.0
     assert abs(sum(tf12.widths) + tf12.tail_deficit - 1.0) < 1e-12
     assert all(a > b for a, b in zip(tf12.widths, tf12.widths[1:]))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.3, 0.5, 1.0, 2.0, 5.0, 50.0])
+def test_width_normalizer_matches_term_by_term_sum(eps):
+    """The Euler-Maclaurin tail reproduces the 2e6-term partial sum."""
+    expected = width_normalizer_sum(eps, ef._TAIL_SUM_CUTOFF)
+    assert abs(ef._width_normalizer(eps) - expected) <= 1e-15 * expected
 
 
 def test_j1_single_box():

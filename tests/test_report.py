@@ -32,6 +32,36 @@ def test_write_csv_format(tmp_path):
     assert lines[2] == "2,-1,z"
 
 
+def _csv_cell_by_cell(header, rows):
+    """write_csv's text with every cell rendered by _cell on its own."""
+    lines = [",".join(header)] + [",".join(report._cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_cell_by_cell_rendering(tmp_path):
+    rng = np.random.default_rng(1)
+    header = ("flag", "n", "k", "x", "y", "label", "mixed")
+    rows = []
+    for i in range(50):
+        rows.append((
+            bool(i % 3),
+            i - 25,
+            (np.int64, np.int32, int)[i % 3](-(3 ** (i % 19))),
+            (np.float64, np.float32)[i % 2](rng.normal() * 10.0 ** rng.integers(-30, 30)),
+            float(rng.normal()) if i % 7 else float("nan"),
+            ('a,b' if i % 2 else 'say "hi"') + str(i),
+            (1, 0.1, np.int32(-2), np.float32(0.3), True, "t", None, 1e300)[i % 8],
+        ))
+    path = tmp_path / "mixed.csv"
+    report.write_csv(str(path), header, iter(rows))
+    assert path.read_bytes() == _csv_cell_by_cell(header, rows).encode()
+
+
+def test_write_csv_rejects_ragged_rows(tmp_path):
+    with pytest.raises(ValueError):
+        report.write_csv(str(tmp_path / "r.csv"), ("a", "b"), [(1, 2), (3,)])
+
+
 def test_write_json_schema_version_and_order(tmp_path):
     path = str(tmp_path / "t.json")
     report.write_json(path, {"zeta": 1.5, "alpha": [1, 2], "flag": True})

@@ -279,3 +279,25 @@ def test_geodesics_sorted_and_complete(pair):
         inv_word = tuple(sk._inv(k, pair.m) for k in reversed(c.word))
         rots = [inv_word[r:] + inv_word[:r] for r in range(len(inv_word))]
         assert min(rots) in words
+
+
+@pytest.mark.parametrize("name", ["cylinder", "symmetric3", "sl2z-pair", "sl2z-crossed"])
+def test_shortest_bounds_are_upper_bounds(name):
+    data = sk.preset(name)
+    bounds = sk._shortest_bounds(data, 5)
+    for n, bound in enumerate(bounds, start=1):
+        shortest = min((c.length for c in sk._classes_at_depth(data, n)), default=math.inf)
+        assert shortest <= bound
+
+
+def test_length_beyond_word_budget_is_refused_before_enumeration(sym3):
+    """Every depth up to 12 holds a class shorter than 50 and depth 13 is
+    over the word budget, so no depth is listed."""
+    assert max(sk._shortest_bounds(sym3, 12)) <= 50.0
+    before = sk._classes_at_depth.cache_info()
+    warn = []
+    assert sk.primitive_geodesics(sym3, 50.0, warn=warn) == []
+    assert warn == [f"depth 13 has {4 * 3 ** 12} words, above the budget of "
+                    f"{sk.MAX_DEPTH_WORDS}, before length 50.0"]
+    after = sk._classes_at_depth.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
