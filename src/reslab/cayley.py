@@ -70,24 +70,33 @@ class CayleyGraph:
         return self.quotient.order
 
     def _connected(self) -> bool:
+        """The generators reach every vertex iff, with the rows N_k e_k,
+        they span Z^m.  Eliminating column by column with gcd steps, every
+        pivot must be +-1 (for m = 1: gcd(N, s_1, ...) = 1)."""
         moduli = self.quotient.moduli
-        zero = tuple(0 for _ in moduli)
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for s in self.gens:
-                    w = _mod([a + b for a, b in zip(v, s)], moduli)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == self.order
+        m = len(moduli)
+        rows = [list(s) for s in self.gens]
+        rows += [[n if i == k else 0 for i in range(m)] for k, n in enumerate(moduli)]
+        for col in range(m):
+            live = [r for r in rows if r[col]]
+            while len(live) > 1:
+                piv = min(live, key=lambda r: abs(r[col]))
+                for r in live:
+                    if r is not piv:
+                        q = r[col] // piv[col]
+                        for i in range(col, m):
+                            r[i] -= q * piv[i]
+                live = [r for r in live if r[col]]
+            if abs(live[0][col]) != 1:
+                return False
+            rows = [r for r in rows if not r[col]]
+        return True
 
 
 def cycle_graph(N: int) -> CayleyGraph:
-    return CayleyGraph(AbelianQuotient((N,)), ((1,), (N - 1,)))
+    # for N = 2 the generators +1 and -1 coincide and are merged into one
+    gens = ((1,), (N - 1,)) if N > 2 else ((1,),)
+    return CayleyGraph(AbelianQuotient((N,)), gens)
 
 
 def graph_from_group(data: SchottkyData, moduli: Sequence[int]) -> CayleyGraph:
@@ -238,6 +247,8 @@ def gap_decay_experiment(Ns: Sequence[int],
     growing modulus; reports the fitted limit constant of lambda1 * N^2."""
     rows = []
     for N in Ns:
+        if N < 2:
+            raise ValueError(f"cover order N must be >= 2, got N = {N}")
         if data is None:
             graph = cycle_graph(int(N))
         else:

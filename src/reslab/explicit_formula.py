@@ -104,6 +104,17 @@ class TestFunction:
         return out
 
 
+def _symmetric_convolve(core: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Full convolution of a symmetric odd-length core with a symmetric
+    odd-length kernel no longer than it.  The result is symmetric, so only
+    its left half and middle are summed directly and the rest is mirrored:
+    phi0 is exactly even by construction."""
+    K = len(kern)
+    c = (len(core) + K - 2) // 2
+    left = np.correlate(np.concatenate([np.zeros(K - 1), core[:c + 1]]), kern, "valid")
+    return np.concatenate([left, left[-2::-1]])
+
+
 def build_test_function(eps: float, J: int, grid_size: int = 1 << 14) -> TestFunction:
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -112,8 +123,8 @@ def build_test_function(eps: float, J: int, grid_size: int = 1 << 14) -> TestFun
     if grid_size > MAX_GRID:
         raise ValueError(f"grid_size capped at {MAX_GRID}")
     if grid_size % 2 == 0:
-        # an odd point count centers the grid at 0 so the kernels sit
-        # symmetrically and phi0 stays exactly even
+        # an odd point count centers the grid at 0, so the odd-length core
+        # pads to it symmetrically
         grid_size += 1
     mu = _widths(eps, J)
     tail_deficit = 1.0 - float(mu.sum())
@@ -123,20 +134,18 @@ def build_test_function(eps: float, J: int, grid_size: int = 1 << 14) -> TestFun
         raise ValueError(
             f"grid too coarse: spacing {h:.3e} vs smallest width {mu[-1]:.3e}")
     # discrete mass-1 kernels; renormalizing after sampling keeps the
-    # discrete mass exactly 1 under direct convolution
-    vals = None
+    # discrete mass exactly 1 under direct convolution.  Only the nonzero
+    # core is convolved, widest kernel first; its half-length stays below
+    # sum(mu) / h < (grid_size - 1) / 2, so it fits the grid.
+    core = None
     for m in mu:
         half = int(np.floor(m / h))
         kern = np.ones(2 * half + 1)
         kern[0] = kern[-1] = 0.5 + (m / h - half)
         kern /= kern.sum()
-        if vals is None:
-            vals = kern / h
-            pad = (grid_size - len(kern)) // 2
-            vals = np.concatenate([np.zeros(pad), vals,
-                                   np.zeros(grid_size - pad - len(kern))])
-        else:
-            vals = np.convolve(vals, kern, mode="same")
+        core = kern / h if core is None else _symmetric_convolve(core, kern)
+    pad = (grid_size - len(core)) // 2
+    vals = np.concatenate([np.zeros(pad), core, np.zeros(pad)])
     return TestFunction(widths=tuple(float(m) for m in mu), x=x, values=vals,
                         J=J, eps=eps, tail_deficit=tail_deficit)
 

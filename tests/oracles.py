@@ -1,10 +1,12 @@
 """Reference constructions that the tests compare the program against:
 transfer blocks built block by block from the definitions, central-difference
 Newton for zero refinement, a quadrature Fourier transform, the test-function
-width normaliser summed term by term, the determinant of one full matrix, the
-character scan with one determinant per grid point, sampled pressure curves,
-reduced words one at a time, the dense Cayley Laplacian, and SL2(F_p)
-arithmetic one matrix at a time with the scalar conjugacy classifier."""
+width normaliser summed term by term, the test function convolved over the
+whole padded grid, the determinant of one full matrix, the character scan
+with one determinant per grid point, sampled pressure curves, reduced words
+one at a time, the dense Cayley Laplacian, Cayley connectivity by
+breadth-first search, and SL2(F_p) arithmetic one matrix at a time with the
+scalar conjugacy classifier."""
 
 import math
 from collections import defaultdict
@@ -15,6 +17,7 @@ import numpy as np
 
 from reslab import cayley, thermo, transfer, zeros
 from reslab import congruence as cg
+from reslab import explicit_formula as ef
 from reslab import schottky as sk
 
 
@@ -108,6 +111,29 @@ def width_normalizer_sum(eps, cutoff=2_000_000):
     return 1.0 / (head + tail)
 
 
+def box_convolution_same(eps, J, grid_size=1 << 14):
+    """Values of build_test_function(eps, J, grid_size), each box convolved
+    over the whole zero-padded grid with np.convolve(mode="same")."""
+    if grid_size % 2 == 0:
+        grid_size += 1
+    mu = ef._widths(eps, J)
+    x = np.linspace(-1.0, 1.0, grid_size)
+    h = x[1] - x[0]
+    vals = None
+    for m in mu:
+        half = int(np.floor(m / h))
+        kern = np.ones(2 * half + 1)
+        kern[0] = kern[-1] = 0.5 + (m / h - half)
+        kern /= kern.sum()
+        if vals is None:
+            pad = (grid_size - len(kern)) // 2
+            vals = np.concatenate([np.zeros(pad), kern / h,
+                                   np.zeros(grid_size - pad - len(kern))])
+        else:
+            vals = np.convolve(vals, kern, mode="same")
+    return vals
+
+
 def fredholm_det(M):
     """det(I - M) of one matrix, with the identity built by np.eye."""
     return complex(np.linalg.det(np.eye(M.shape[0]) - M))
@@ -176,6 +202,25 @@ def dense_laplacian(graph):
     """I - A/k of the Cayley graph, from its adjacency matrix."""
     A = cayley.adjacency_matrix(graph)
     return np.eye(A.shape[0]) - A / graph.degree
+
+
+def connected_bfs(graph):
+    """Whether the Cayley graph is connected, by a breadth-first walk from 0
+    over every vertex."""
+    moduli = graph.quotient.moduli
+    zero = tuple(0 for _ in moduli)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in graph.gens:
+                w = tuple((a + b) % n for a, b, n in zip(v, s, moduli))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return len(seen) == graph.order
 
 
 def legendre(x, p):

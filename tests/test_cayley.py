@@ -1,13 +1,16 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reslab import cayley as cy
 from reslab import schottky as sk
 from reslab.abelian import AbelianQuotient
 
-from oracles import dense_laplacian
+from oracles import connected_bfs, dense_laplacian
 
 
 def test_graph_validation(monkeypatch):
@@ -22,12 +25,59 @@ def test_graph_validation(monkeypatch):
         cy.CayleyGraph(AbelianQuotient((4,)), ((2,),))
     with pytest.raises(ValueError):
         cy.CayleyGraph(AbelianQuotient((6,)), ((2,), (4,), (2,)))
-    # the order cap is checked before the connectivity walk over every vertex
-    monkeypatch.setattr(cy.CayleyGraph, "_connected", lambda self: pytest.fail("walked"))
+    # the order cap is checked before connectivity, so no generator row of
+    # an oversized quotient is ever reduced
+    monkeypatch.setattr(cy.CayleyGraph, "_connected",
+                        lambda self: pytest.fail("connectivity checked"))
     with pytest.raises(ValueError, match="order above"):
         cy.CayleyGraph(AbelianQuotient((cy.MAX_ORDER + 1,)), ((1,), (cy.MAX_ORDER,)))
     with pytest.raises(ValueError, match="order above"):
         cy.CayleyGraph(AbelianQuotient((2 ** 32, 2 ** 32)), ((1, 0), (2 ** 32 - 1, 0)))
+
+
+def _unchecked_graph(moduli, gens):
+    graph = object.__new__(cy.CayleyGraph)
+    object.__setattr__(graph, "quotient", AbelianQuotient(moduli))
+    object.__setattr__(graph, "gens", gens)
+    return graph
+
+
+@st.composite
+def _symmetric_generating_sets(draw):
+    moduli = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    nonzero = [v for v in product(*(range(n) for n in moduli)) if any(v)]
+    picked = draw(st.lists(st.sampled_from(nonzero), max_size=4)) if nonzero else []
+    gens = {w for v in picked
+            for w in (v, tuple(-a % n for a, n in zip(v, moduli)))}
+    return moduli, tuple(sorted(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_generating_sets())
+@example(((4,), ((2,),)))
+@example(((6, 6), ((1, 1), (5, 5))))
+@example(((4, 6), ((1, 1), (3, 5))))
+@example(((2, 3), ((1, 1), (1, 2))))
+@example(((1,), ()))
+def test_connectivity_matches_bfs_oracle(case):
+    moduli, gens = case
+    if connected_bfs(_unchecked_graph(moduli, gens)):
+        assert cy.CayleyGraph(AbelianQuotient(moduli), gens)._connected()
+    else:
+        with pytest.raises(ValueError, match="not connected"):
+            cy.CayleyGraph(AbelianQuotient(moduli), gens)
+
+
+def test_cycle_graph_of_order_two_merges_plus_and_minus_one():
+    g = cy.cycle_graph(2)
+    assert g.gens == ((1,),)
+    assert np.allclose(cy.laplacian_eigenvalues(g), [0.0, 2.0])
+
+
+@pytest.mark.parametrize("Ns", [[1, 4], [0, 8]])
+def test_gap_decay_refuses_covers_below_two(Ns):
+    with pytest.raises(ValueError, match=f"N = {Ns[0]}"):
+        cy.gap_decay_experiment(Ns)
 
 
 def test_z4_cycle_spectrum():

@@ -39,8 +39,8 @@ def test_validate_pass_and_fail(tmp_path, capsys):
     ["resonances", "--preset", "cylinder", "--rect", "1,0,0,1"],
     ["resonances", "--preset", "cylinder", "--rect", "-0.5,0.5,0,4",
      "--lmax", "1"],
-    # a quotient above cayley.MAX_ORDER is refused before its vertices are
-    # walked
+    # a quotient above cayley.MAX_ORDER is refused before its generators
+    # are checked
     ["cayley", "--covers", "2000000"],
     # order 2^64, which an int64 product would read as 0
     ["cover-abelian", "--preset", "symmetric3", "--rect", "0.17,0.3,-0.05,0.05",
@@ -338,6 +338,27 @@ def test_cayley_outputs(tmp_path, capsys):
     lines = (tmp_path / "cayley.csv").read_text().splitlines()
     assert lines[0] == "N,lambda1,lambda1_N2,h_or_bound,h_exact"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["cayley", "--preset", "sl2z-pair", "--covers", "1,4"],
+    ["cayley", "--covers", "1,4"],
+], ids=["preset", "cycle"])
+def test_cayley_cover_below_two_is_refused(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation failure: cayley: cover order N must be >= 2, got N = 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cayley.csv").exists()
+
+
+def test_cayley_cover_of_order_two(tmp_path, capsys):
+    # C_2 has one generator, +1 = -1, as the preset path's N = 2 has
+    assert run(["cayley", "--covers", "2,4", "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "duplicates" not in err and "Traceback" not in err
+    lines = (tmp_path / "cayley.csv").read_text().splitlines()
+    assert lines[1] == "2,2,8,1,true"
 
 
 def test_congruence_output(tmp_path, capsys):

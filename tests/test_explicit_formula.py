@@ -6,7 +6,7 @@ import pytest
 from reslab import explicit_formula as ef
 from reslab import schottky as sk
 
-from oracles import fourier_grid, width_normalizer_sum
+from oracles import box_convolution_same, fourier_grid, width_normalizer_sum
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,27 @@ def test_nonnegative_and_supported(tf12):
 
 
 def test_even_symmetry(tf12):
-    assert np.abs(tf12.values - tf12.values[::-1]).max() < 1e-12
+    assert np.array_equal(tf12.values, tf12.values[::-1])
+
+
+@pytest.mark.parametrize("grid_size", [1 << 12, 1 << 14, 1 << 16])
+@pytest.mark.parametrize("J", [1, 2, 12, 16])
+@pytest.mark.parametrize("eps", [0.05, 0.5, 5.0])
+def test_matches_padded_grid_convolution(eps, J, grid_size):
+    """The half-computed, mirrored convolution of the nonzero core agrees
+    with convolving the whole zero-padded grid in mode="same"."""
+    mu = ef._widths(eps, J)
+    if mu[-1] < 2 * (2.0 / grid_size):
+        with pytest.raises(ValueError, match="grid too coarse"):
+            ef.build_test_function(eps, J, grid_size)
+        return
+    tf = ef.build_test_function(eps, J, grid_size)
+    ref = box_convolution_same(eps, J, grid_size)
+    support = ref != 0.0
+    assert np.array_equal(tf.values != 0.0, support)
+    assert np.max(np.abs(tf.values[support] - ref[support]) / ref[support]) <= 1e-14
+    assert np.array_equal(tf.values, tf.values[::-1])
+    assert abs(tf.mass() - 1.0) < 1e-10
 
 
 def test_width_deficit_recorded(tf12):
