@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -49,9 +48,11 @@ class NonConvergence(Exception):
     pass
 
 
-def _threads(value: Optional[int]) -> int:
-    """Worker threads from --threads, else RESLAB_THREADS, else 1; a count
-    below 1 or an unparsable one is a validation failure."""
+def _threads(value: Optional[int]) -> None:
+    """Check the thread count of --threads, else RESLAB_THREADS: a count
+    below 1 or an unparsable one is a validation failure.  No experiment
+    starts threads, so the count selects nothing and no output depends on
+    it."""
     label = "--threads"
     if value is None:
         label = "RESLAB_THREADS"
@@ -62,7 +63,6 @@ def _threads(value: Optional[int]) -> int:
         raise ValidationFailure(f"cannot parse {label}: {value!r}")
     if n < 1:
         raise ValidationFailure(f"{label} must be >= 1, got {n}")
-    return n
 
 
 def _parse_floats(text: str, n: Optional[int] = None, label: str = "value"):
@@ -196,21 +196,14 @@ def _run_zeta_scan(args) -> int:
     grid = _parse_ints(args.grid or "40,40", "grid")
     if len(grid) != 2 or min(grid) < 2:
         raise ValidationFailure("zeta-scan: grid must be n_re,n_im, at least 2x2")
-    nre, nim = grid
-    threads = _threads(args.threads)
+    _threads(args.threads)
     det = zeros.make_det(data, twist, lmax)
-    res = np.linspace(rect[0], rect[1], nre)
-    ims = np.linspace(rect[2], rect[3], nim)
-
-    def scan_row(im):
-        return [det(complex(re, im)) for re in res]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(scan_row, ims))
-    out_rows = []
-    for im, row in zip(ims, rows):
-        for re, d in zip(res, row):
-            out_rows.append((re, im, abs(d), d.real, d.imag))
+    res = np.linspace(rect[0], rect[1], grid[0])
+    ims = np.linspace(rect[2], rect[3], grid[1])
+    points = [complex(re, im) for im in ims for re in res]
+    det.many(points)
+    out_rows = [(s.real, s.imag, abs(d), d.real, d.imag)
+                for s, d in zip(points, map(det, points))]
     report.write_csv(_out_path(args, "zeta_scan.csv"),
                      ("re", "im", "abs_det", "re_det", "im_det"), out_rows)
     print(f"zeta-scan: {len(out_rows)} samples on {data.name}")
@@ -357,9 +350,9 @@ def _run_explicit_formula(args) -> int:
     T = _number(args, "T", 8.0, float)
     try:
         tf = explicit_formula.build_test_function(eps, J)
+        envelope = explicit_formula.fourier_envelope_check(tf, alpha=alpha)
     except ValueError as exc:
         raise ValidationFailure(f"explicit_formula: {exc}")
-    envelope = explicit_formula.fourier_envelope_check(tf, alpha=alpha)
     Ts = [0.5 * T, 0.75 * T, T]
     try:
         sums = [explicit_formula.geodesic_sum(data, t, tf).real for t in Ts]
@@ -427,7 +420,7 @@ _FLAGS = {
     "trace": (float, "preset trace parameter"),
     "group": (None, "path to a group JSON file"),
     "out": (None, "output directory for artifacts"),
-    "threads": (int, "worker threads (fallback: RESLAB_THREADS)"),
+    "threads": (int, "checked, but no output depends on it (fallback: RESLAB_THREADS)"),
     "lmax": (int, "Bergman truncation order"),
     "tol": (float, None),
     "rect": (None, "re_min,re_max,im_min,im_max"),

@@ -28,6 +28,8 @@ _PERRON_MAXITER = 512
 _PERRON_STRIDE = 8
 # Largest change of the unit iterate, in 2-norm, that counts as settled.
 _PERRON_TOL = 8 * np.finfo(float).eps
+# |P| at which the root search stops: log lambda at rounding level, lambda ~ 1.
+_PRESSURE_ROUNDING = 8 * np.finfo(float).eps
 
 
 def _perron_radius(A: np.ndarray) -> float:
@@ -94,7 +96,7 @@ def critical_exponent(data: SchottkyData, lmax: int = DEFAULT_LMAX,
         if not a < c < b:
             break  # the bracket is down to adjacent floats
         delta, p_delta = c, pressure(data, c, lmax)
-        if p_delta == 0:
+        if abs(p_delta) <= _PRESSURE_ROUNDING:
             break
         if p_delta < 0:
             b, fb = c, p_delta

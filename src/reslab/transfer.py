@@ -351,8 +351,8 @@ def _lift(M: np.ndarray, letters: np.ndarray) -> np.ndarray:
 
 
 def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two flat work buffers, grown to at least size samples.
-    Pool threads share det closures, so the buffers cannot be shared."""
+    """This thread's two flat work buffers, grown to at least size samples:
+    a library caller may assemble from several threads at once."""
     bufs = getattr(_work, "bufs", None)
     if bufs is None or bufs[0].size < size:
         bufs = _work.bufs = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
@@ -407,7 +407,7 @@ def _plan_for(data: sk.SchottkyData, lmax: int, sectors: bool):
 
 
 def _batch(data: sk.SchottkyData, lmax: int, sectors: bool) -> int:
-    """How many values of s one `_place` pass of the trivial twist takes
+    """How many values of s one `_place` pass of the untwisted matrix takes
     within _RUN_BYTES: as many as fit with the longest run (the first) of
     the plan that `assemble` picks, at least one."""
     runs = _plan_for(data, lmax, sectors)[2]

@@ -113,15 +113,17 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
     determinant is the product of theirs: one untwisted matrix per s, then
     one LU per character.
 
-    The closure of the trivial twist also has a method many(points), which
-    fills the cache at every new point in batched engine passes: `assemble`
-    and `fredholm_det` at up to `transfer._batch` values of s at once, each
-    value equal to the one det(s) gives."""
+    Its method many(points) fills the cache at every new point in engine
+    passes of up to `transfer._batch` values of s (fewer by d^2 for a d x d
+    matrix twist, whose lifted stack is then no larger); det(s) is
+    many((s,)) on a cache miss.  Each value is the same in any batch."""
     cache: dict[complex, complex] = {}
     if twist.kind == "trivial":
-        def value(s: complex) -> complex:
+        step = transfer._batch(data, lmax, sectors=True)
+
+        def values(batch: np.ndarray) -> list[complex]:
             return transfer.fredholm_det(
-                transfer.assemble(data, s, twist, lmax, sectors=True))
+                transfer.assemble(data, batch, twist, lmax, sectors=True))
     else:
         if twist.kind == "regular":
             if len(twist.moduli) != data.m:
@@ -130,31 +132,29 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
             characters = transfer._character_letters(alphas / np.array(twist.moduli))
         else:
             characters = twist.letter_matrices(data.m)[None]
-        trivial = TwistSpec.trivial()
+        step = max(1, transfer._batch(data, lmax, sectors=False) // characters.shape[-1] ** 2)
 
-        def value(s: complex) -> complex:
-            base = transfer.assemble(data, s, trivial, lmax)
+        def values(batch: np.ndarray) -> list[complex]:
+            base = transfer.assemble(data, batch, TwistSpec.trivial(), lmax)
             out = transfer.fredholm_det(transfer._lift(base, characters[0]))
             for letters in characters[1:]:
-                out *= transfer.fredholm_det(transfer._lift(base, letters))
+                dets = transfer.fredholm_det(transfer._lift(base, letters))
+                out = [v * w for v, w in zip(out, dets)]
             return out
+
+    def many(points) -> None:
+        todo = [s for s in dict.fromkeys(map(complex, points)) if s not in cache]
+        for first in range(0, len(todo), step):
+            batch = todo[first:first + step]
+            cache.update(zip(batch, values(np.array(batch))))
 
     def det(s: complex) -> complex:
         s = complex(s)
         if s not in cache:
-            cache[s] = value(s)
+            many((s,))
         return cache[s]
 
-    def many(points) -> None:
-        todo = [s for s in dict.fromkeys(map(complex, points)) if s not in cache]
-        step = transfer._batch(data, lmax, sectors=True)
-        for first in range(0, len(todo), step):
-            batch = todo[first:first + step]
-            cache.update(zip(batch, transfer.fredholm_det(
-                transfer.assemble(data, np.array(batch), twist, lmax, sectors=True))))
-
-    if twist.kind == "trivial":
-        det.many = many
+    det.many = many
     return det
 
 
@@ -165,10 +165,10 @@ def _winding(det: Callable, corners: Sequence[complex]) -> int:
     Each edge starts from a fixed base subdivision: the pi/2 criterion alone
     cannot see a full phase turn hiding between two in-phase samples.  The
     base nodes of all edges are known before the first determinant, so a
-    det with a many(points) method (`make_det`) takes them first in batched
-    passes; the walk then visits them in the same order either way, and a
-    point closer to a zero than CONTOUR_MIN_MODULUS raises ContourError at
-    the same point.
+    det with a many(points) method (every `make_det` closure) takes them
+    first in batched passes; the walk then visits them in the same order
+    as a plain callable's, and a point closer to a zero than
+    CONTOUR_MIN_MODULUS raises ContourError at the same point.
     """
     vals = {}
 

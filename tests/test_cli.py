@@ -2,11 +2,14 @@ import argparse
 import json
 import math
 import os
+import warnings
 
+import numpy as np
 import pytest
 
-from reslab import cli, thermo, transfer, zeros
+from reslab import cli, report, thermo, transfer, zeros
 from reslab import schottky as sk
+from reslab.transfer import TwistSpec
 
 
 def run(argv):
@@ -272,7 +275,7 @@ def test_config_experiment_mismatch(tmp_path, capsys):
 def test_zeta_scan_thread_determinism(tmp_path, capsys):
     outputs = {}
     for threads in (1, 2, 8):
-        # cold table caches: the pool's threads race to build the tables
+        # cold table caches, so that every run builds its tables afresh
         transfer._plan.cache_clear()
         sub = tmp_path / f"t{threads}"
         sub.mkdir()
@@ -282,6 +285,33 @@ def test_zeta_scan_thread_determinism(tmp_path, capsys):
         assert code == 0
         outputs[threads] = (sub / "zeta_scan.csv").read_bytes()
     assert outputs[1] == outputs[2] == outputs[8]
+
+
+@pytest.mark.parametrize("preset, theta, lmax", [
+    ("symmetric3", None, 16),
+    ("cylinder", 0.3, 8),
+], ids=["trivial", "abelian"])
+def test_zeta_scan_rows_are_the_per_point_determinants(preset, theta, lmax, tmp_path,
+                                                        capsys):
+    """The grid goes through det.many; each row, in CSV order (im outer, re
+    inner), is what a fresh closure gives at that point alone."""
+    argv = ["zeta-scan", "--preset", preset, "--rect", "-0.5,0.5,-3,3", "--grid", "7,4",
+            "--lmax", str(lmax), "--out", str(tmp_path)]
+    twist = TwistSpec.trivial()
+    if theta is not None:
+        argv += ["--theta", str(theta)]
+        twist = TwistSpec.abelian([theta])
+    assert run(argv) == 0
+    det = zeros.make_det(sk.preset(preset), twist, lmax)
+    rows = []
+    for im in np.linspace(-3, 3, 4):
+        for re in np.linspace(-0.5, 0.5, 7):
+            d = det(complex(re, im))
+            rows.append((re, im, abs(d), d.real, d.imag))
+    report.write_csv(str(tmp_path / "want.csv"),
+                     ("re", "im", "abs_det", "re_det", "im_det"), rows)
+    assert ((tmp_path / "zeta_scan.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
 
 
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
@@ -379,6 +409,20 @@ def test_explicit_formula_output(tmp_path, capsys):
     body = json.loads((tmp_path / "explicit_formula.json").read_text())
     assert body["envelope"]["passed"] is True
     assert abs(body["mass"] - 1.0) < 1e-10
+
+
+def test_explicit_formula_with_narrow_boxes_certifies_past_the_widest(tmp_path, capsys):
+    """At eps = 0.05 every box is narrower than 1/xi_min: no division by
+    zero, and a finite shape ratio from the samples past 1/mu_1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["explicit-formula", "--preset", "sl2z-pair", "--eps", "0.05",
+                    "--order", "12", "--out", str(tmp_path)])
+    assert code == 0
+    envelope = json.loads((tmp_path / "explicit_formula.json").read_text())["envelope"]
+    assert isinstance(envelope["shape_ratio"], float)
+    assert math.isfinite(envelope["shape_ratio"])
+    assert envelope["C2_certified"] > 0
 
 
 def test_cover_abelian_output(tmp_path, capsys):

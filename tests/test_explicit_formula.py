@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def test_envelope_passes_j12(tf12):
 def test_envelope_fails_j1():
     rep = ef.fourier_envelope_check(ef.build_test_function(0.5, 1))
     assert not rep["passed"]
+
+
+def test_envelope_starts_where_the_widest_box_decays():
+    """At eps = 0.06 the widest box is 0.080 < 1/xi_min, so the constant
+    is 0 at the first samples: the fit starts past 1/mu_1 and certifies a
+    positive constant with a finite shape ratio, without a division by
+    zero.  A range that never passes 1/mu_1 is refused."""
+    tf = ef.build_test_function(0.06, 12)
+    assert 10.0 * max(tf.widths) < 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = ef.fourier_envelope_check(tf)
+    assert env["C2_certified"] > 0
+    assert math.isfinite(env["shape_ratio"])
+    with pytest.raises(ValueError, match="widest box"):
+        ef.fourier_envelope_check(tf, xi_min=1.0, xi_max=12.0)
 
 
 def test_geodesic_sum_empty_below_shortest(pair, tf12):

@@ -182,6 +182,25 @@ def test_delta_needs_no_more_pressure_evaluations_than_brentq(name, monkeypatch)
     assert len(calls) <= BRENTQ_PRESSURE_CALLS[name]
 
 
+@pytest.mark.parametrize("name", sorted(RECORDED_DELTA))
+@pytest.mark.parametrize("lmax", [8, 16, 24])
+def test_delta_stops_once_the_pressure_is_at_rounding_level(name, lmax, monkeypatch):
+    """No pressure evaluation follows one whose |P| is at rounding level.
+    sl2z-pair at lmax 8, 16 and 24 and sl2z-crossed at lmax 8 reach that
+    level while the bracket is still wider than tol."""
+    data = sk.preset(name)
+    values = []
+    pressure = thermo.pressure
+
+    def recording(*args):
+        values.append(pressure(*args))
+        return values[-1]
+
+    monkeypatch.setattr(thermo, "pressure", recording)
+    thermo.critical_exponent(data, lmax)
+    assert all(abs(p) > thermo._PRESSURE_ROUNDING for p in values[:-1])
+
+
 def test_delta_without_sign_change_raises(sym3, monkeypatch):
     monkeypatch.setattr(thermo, "pressure", lambda data, sigma, lmax: 1.0 - 0.5 * sigma)
     with pytest.raises(ArithmeticError, match="no sign change"):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -192,22 +193,74 @@ def test_zero_count_stable_in_lmax(cyl):
     assert n16 == n24 == 6
 
 
+def _scalar_det(data, twist, lmax, s):
+    """det(I - L_s) at one s straight from the engine: the sector product
+    for the trivial twist, else the untwisted matrix lifted by each
+    character's letters (one for an abelian or matrix twist), one LU each,
+    multiplied in character order."""
+    if twist.kind == "trivial":
+        return transfer.fredholm_det(transfer.assemble(data, s, twist, lmax, sectors=True))
+    if twist.kind == "regular":
+        letters = [TwistSpec.abelian(np.array(alpha) / twist.moduli).letter_matrices(data.m)
+                   for alpha in itertools.product(*map(range, twist.moduli))]
+    else:
+        letters = [twist.letter_matrices(data.m)]
+    base = transfer.assemble(data, s, TRIV, lmax)
+    out = transfer.fredholm_det(transfer._lift(base, letters[0]))
+    for u in letters[1:]:
+        out *= transfer.fredholm_det(transfer._lift(base, u))
+    return out
+
+
+def _every_twist_kind(data, rng):
+    m = data.m
+    unitaries = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                 for _ in range(m)]
+    return [TRIV, TwistSpec.abelian([0.0] * m), TwistSpec.abelian(rng.uniform(0, 1, m)),
+            TwistSpec.regular((3,) + (1,) * (m - 1)), TwistSpec.matrix(unitaries)]
+
+
 def test_many_gives_the_scalar_determinants_bit_for_bit():
     """det.many fills the cache with exactly the values det(s) computes
-    alone, on every preset at lmax 8, 16 and 32, for a batch of one, of
-    exactly one engine pass and of one pass and one more value."""
+    alone, and both equal the engine's value at one s, for every twist kind
+    on every preset at lmax 8 and 16 (the trivial twist also at 32), for a
+    batch of one, of exactly one engine pass and of one pass and one more
+    value."""
     rng = np.random.default_rng(9)
     for name in ("cylinder", "symmetric3", "sl2z-pair", "sl2z-crossed"):
         data = sk.preset(name)
-        for lmax in (8, 16, 32):
-            step = transfer._batch(data, lmax, sectors=True)
-            for n in (1, step, step + 1):
-                pts = [complex(rng.uniform(-0.5, 1.0), rng.uniform(-8.0, 8.0))
-                       for _ in range(n)]
-                batched = zeros.make_det(data, TRIV, lmax)
-                batched.many(pts)
-                alone = zeros.make_det(data, TRIV, lmax)
-                assert [batched(s) for s in pts] == [alone(s) for s in pts], (name, lmax, n)
+        for twist in _every_twist_kind(data, rng):
+            for lmax in (8, 16, 32) if twist.kind == "trivial" else (8, 16):
+                step = transfer._batch(data, lmax, sectors=twist.kind == "trivial")
+                if twist.kind == "matrix":
+                    step = max(1, step // twist.dim ** 2)
+                for n in (1, step, step + 1):
+                    pts = [complex(rng.uniform(-0.5, 1.0), rng.uniform(-8.0, 8.0))
+                           for _ in range(n)]
+                    batched = zeros.make_det(data, twist, lmax)
+                    batched.many(pts)
+                    alone = zeros.make_det(data, twist, lmax)
+                    want = [_scalar_det(data, twist, lmax, s) for s in pts]
+                    assert [batched(s) for s in pts] == want, (name, twist.kind, lmax, n)
+                    assert [alone(s) for s in pts] == want, (name, twist.kind, lmax, n)
+
+
+def test_a_twisted_contour_takes_its_base_nodes_in_a_few_passes(cyl, monkeypatch):
+    """An abelian twist's base nodes go through `assemble` in batches: on
+    the cylinder at lmax 8 (25 values of s per pass) the whole count takes
+    fewer engine passes than the contour has base nodes."""
+    passes = []
+    assemble = transfer.assemble
+
+    def counting(*args, **kwargs):
+        passes.append(args[1])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "assemble", counting)
+    assert transfer._batch(cyl, 8, sectors=False) == 25
+    rect = (-0.3, 0.3, 0.5, 2.5)
+    assert zeros.count_zeros(cyl, TwistSpec.abelian([0.3]), rect, lmax=8) == 2
+    assert 0 < len(passes) < 4 * zeros.BASE_SEGMENTS
 
 
 def test_winding_takes_the_same_points_with_or_without_many(cyl):
@@ -263,3 +316,21 @@ def test_negative_sub_count_raises():
 
     with pytest.raises(zeros.ContourError, match="negative zero count"):
         zeros.resonances(None, TRIV, (0.0, 1.0, 0.0, 1.0), det=det)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="count_zeros skips phase turns on ordinary boxes")
+@pytest.mark.parametrize("name, box, true_count", [
+    ("symmetric3", (-0.5, 0.4, -3.0, 3.0), 15),
+    ("sl2z-pair", (-0.3, 0.3, 0.5, 5.0), 12),
+    ("sl2z-crossed", (-0.601, -0.009, 0.499, 6.001), 36),
+], ids=["symmetric3", "sl2z-pair", "sl2z-crossed"])
+def test_count_zeros_on_an_ordinary_box(name, box, true_count):
+    """Boxes whose true counts come from 1,024 and 4,096 dense nodes per
+    edge; the sl2z-crossed box is given relative to delta.  The fixed base
+    subdivision undercounts all three (3, 1 and 2)."""
+    data = sk.preset(name)
+    if name == "sl2z-crossed":
+        delta = thermo.critical_exponent(data, 16)
+        box = (delta + box[0], delta + box[1], box[2], box[3])
+    assert zeros.count_zeros(data, TRIV, box, lmax=16) == true_count
