@@ -51,8 +51,7 @@ class NonConvergence(Exception):
 def _threads(value: Optional[int]) -> None:
     """Check the thread count of --threads, else RESLAB_THREADS: a count
     below 1 or an unparsable one is a validation failure.  No experiment
-    starts threads, so the count selects nothing and no output depends on
-    it."""
+    starts threads, so no output depends on the count."""
     label = "--threads"
     if value is None:
         label = "RESLAB_THREADS"
@@ -196,7 +195,6 @@ def _run_zeta_scan(args) -> int:
     grid = _parse_ints(args.grid or "40,40", "grid")
     if len(grid) != 2 or min(grid) < 2:
         raise ValidationFailure("zeta-scan: grid must be n_re,n_im, at least 2x2")
-    _threads(args.threads)
     det = zeros.make_det(data, twist, lmax)
     res = np.linspace(rect[0], rect[1], grid[0])
     ims = np.linspace(rect[2], rect[3], grid[1])
@@ -536,6 +534,7 @@ def main(argv=None) -> int:
         _apply_config(args)
         if "rect" in _EXPERIMENT_FLAGS[args.command]:
             _require(args, "rect")
+        _threads(args.threads)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

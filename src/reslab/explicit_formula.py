@@ -161,13 +161,12 @@ def fourier_envelope_check(tf: TestFunction, xi_min: float = 10.0,
     certified constant that collapses towards zero at the top of the range;
     the check fails when the top-decade constant is below shape_ratio_min
     times the bottom-decade constant.  Up to xi = 1/mu_1, mu_1 the widest
-    box, the envelope is 1 and the bound says nothing, so the fit starts
-    past it; a range that ends before it is a ValueError."""
+    box, the envelope is 1 and the constant 0, so the shape ratio has
+    nothing to compare against: a range that starts there is a ValueError."""
     mu = np.array(tf.widths)
+    if xi_min * mu.max() <= 1.0:
+        raise ValueError(f"xi_min {xi_min:g} is not past 1/(widest box) = {1 / mu.max():g}")
     xi = np.logspace(math.log10(xi_min), math.log10(xi_max), n_xi)
-    xi = xi[xi * mu.max() > 1.0]
-    if not len(xi):
-        raise ValueError(f"xi_max {xi_max:g} is not past 1/(widest box) = {1 / mu.max():g}")
     u = xi / np.log(xi) ** (1.0 + alpha)
     log_env = np.minimum(0.0, -np.log(np.outer(xi, mu))).sum(axis=1)
     A = np.vstack([np.ones_like(u), -u]).T

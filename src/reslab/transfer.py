@@ -474,6 +474,8 @@ def fredholm_det(M: np.ndarray) -> complex | list[complex]:
     batch = M if M.ndim == 4 else M[None]
     if batch.strides[1] == 0:
         dets = [complex(v) ** 2 for v in np.linalg.det(eye - batch[:, 0])]
+    elif batch.shape[1] == 1:
+        dets = [complex(v) for v in np.linalg.det(eye - batch[:, 0])]
     else:
         dets = [complex(np.prod(row)) for row in np.linalg.det(eye - batch)]
     return dets if M.ndim == 4 else dets[0]

@@ -359,6 +359,16 @@ def test_threads_env_unparsable_rejected(tmp_path, capsys, monkeypatch):
     assert "cannot parse RESLAB_THREADS" in capsys.readouterr().err
 
 
+def test_every_experiment_checks_the_thread_count(tmp_path, capsys, monkeypatch):
+    """--threads is a flag of every experiment, so every one refuses a bad
+    count, before any computation."""
+    assert run(["delta", "--preset", "cylinder", "--threads", "0"]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("RESLAB_THREADS", "abc")
+    assert run(["validate", "--preset", "cylinder", "--out", str(tmp_path)]) == 2
+    assert "cannot parse RESLAB_THREADS" in capsys.readouterr().err
+
+
 def test_cayley_outputs(tmp_path, capsys):
     code = run(["cayley", "--covers", "64,128,256", "--out", str(tmp_path)])
     assert code == 0
@@ -411,18 +421,17 @@ def test_explicit_formula_output(tmp_path, capsys):
     assert abs(body["mass"] - 1.0) < 1e-10
 
 
-def test_explicit_formula_with_narrow_boxes_certifies_past_the_widest(tmp_path, capsys):
-    """At eps = 0.05 every box is narrower than 1/xi_min: no division by
-    zero, and a finite shape ratio from the samples past 1/mu_1."""
+def test_explicit_formula_refuses_boxes_narrower_than_the_envelope_range(tmp_path, capsys):
+    """At eps = 0.05 every box is narrower than 1/xi_min: the envelope
+    check has nothing to certify there, so the run exits 2 without a
+    division-by-zero warning and writes no report."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["explicit-formula", "--preset", "sl2z-pair", "--eps", "0.05",
                     "--order", "12", "--out", str(tmp_path)])
-    assert code == 0
-    envelope = json.loads((tmp_path / "explicit_formula.json").read_text())["envelope"]
-    assert isinstance(envelope["shape_ratio"], float)
-    assert math.isfinite(envelope["shape_ratio"])
-    assert envelope["C2_certified"] > 0
+    assert code == 2
+    assert "widest box" in capsys.readouterr().err
+    assert not (tmp_path / "explicit_formula.json").exists()
 
 
 def test_cover_abelian_output(tmp_path, capsys):

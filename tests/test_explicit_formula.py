@@ -122,20 +122,18 @@ def test_envelope_fails_j1():
     assert not rep["passed"]
 
 
-def test_envelope_starts_where_the_widest_box_decays():
-    """At eps = 0.06 the widest box is 0.080 < 1/xi_min, so the constant
-    is 0 at the first samples: the fit starts past 1/mu_1 and certifies a
-    positive constant with a finite shape ratio, without a division by
-    zero.  A range that never passes 1/mu_1 is refused."""
-    tf = ef.build_test_function(0.06, 12)
+@pytest.mark.parametrize("eps,J", [(0.05, 1), (0.06, 12)])
+def test_envelope_refuses_a_range_before_the_widest_box_decays(eps, J):
+    """At eps <= 0.06 every box is narrower than 1/xi_min, so the constant
+    is 0 at xi_min and the shape ratio would divide by it, or by a sample
+    barely past 1/mu_1 where even a single box passes: the check refuses,
+    without a division by zero."""
+    tf = ef.build_test_function(eps, J)
     assert 10.0 * max(tf.widths) < 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        env = ef.fourier_envelope_check(tf)
-    assert env["C2_certified"] > 0
-    assert math.isfinite(env["shape_ratio"])
-    with pytest.raises(ValueError, match="widest box"):
-        ef.fourier_envelope_check(tf, xi_min=1.0, xi_max=12.0)
+        with pytest.raises(ValueError, match="widest box"):
+            ef.fourier_envelope_check(tf)
 
 
 def test_geodesic_sum_empty_below_shortest(pair, tf12):
