@@ -91,23 +91,31 @@ def nonvanishing_scan(data: SchottkyData, grid_n: int = 64,
     [0,1)^m, at a real delta.
 
     Returns the minimum modulus over grid points at sup-distance >= exclusion
-    from the integer lattice, its argmin, and the residual at theta = 0.
+    from the integer lattice, its argmin, the residual at theta = 0, and two
+    work counts: orbits (leaf determinants) and eliminations (blocks
+    factored by `transfer._character_dets`).
 
     The data of every group are real, so M(conj s) = conj M(s) and, at real
     delta, |L(delta, theta)| = |L(delta, -theta)|; a group with the disc
     involution also has L(s, pi.theta) = L(s, theta) (`_character_involution`).
     One determinant is taken per orbit of grid points under these maps (at
     most 4 points), at the orbit's first point in scan order
-    (itertools.product order).  The argmin is the first grid point in scan
-    order at which the minimum is attained: the first member of the
-    minimising orbit.  A complex delta raises TypeError, and a grid with no
-    point at distance >= exclusion raises ValueError.
+    (itertools.product order).  These come from one untwisted matrix at
+    delta by elimination along the character lattice, one block per
+    distinct leading part of the representatives; the residual at theta = 0
+    is the LU determinant of that matrix lifted by theta = 0.  The argmin
+    is the first grid point in scan order at which the minimum is attained:
+    the first member of the minimising orbit.  A complex delta raises
+    TypeError; a non-finite delta, or a grid with no point at distance >=
+    exclusion, raises ValueError.
     """
     if delta is None:
         delta = zeros._delta_of(data, lmax)
     if np.iscomplexobj(delta):
         raise TypeError(f"delta must be real, got {delta!r}")
     delta = float(delta)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     m, n = data.m, grid_n
     # grid indices in scan order; the code of k, its place in that order,
     # is k read in base n
@@ -124,19 +132,20 @@ def nonvanishing_scan(data: SchottkyData, grid_n: int = 64,
     weights = n ** np.arange(m - 1, -1, -1)
     _, first = np.unique(np.min([im @ weights for im in images], axis=0),
                          return_index=True)
-    # the letters of every representative, then of theta = 0, lift the
-    # untwisted matrix at delta
-    letters = transfer._character_letters(np.vstack((k[first], np.zeros(m, int))) / n)
     base = transfer.assemble(data, complex(delta), TwistSpec.trivial(), lmax)
-    values = [abs(transfer.fredholm_det(transfer._lift(base, u))) for u in letters]
-    best = int(np.argmin(values[:-1]))
+    dets, eliminated = transfer._character_dets(base, k[first] / n)
+    values = np.abs(dets)
+    best = int(np.argmin(values))
+    zero = transfer._lift(base, transfer._character_letters(np.zeros(m)))
     return {
         "delta": delta,
-        "min_offlattice": values[best],
+        "min_offlattice": float(values[best]),
         "argmin": tuple((k[first[best]] / n).tolist()),
-        "residual_at_zero": values[-1],
+        "residual_at_zero": abs(transfer.fredholm_det(zero)),
         "grid_n": grid_n,
         "exclusion": exclusion,
+        "orbits": len(first),
+        "eliminations": eliminated,
     }
 
 
@@ -265,7 +274,9 @@ def _reference_samples(data: SchottkyData, window, delta: float,
 def _ks_distance(emp: np.ndarray, ref: np.ndarray) -> float:
     if len(emp) == 0 or len(ref) == 0:
         return 1.0
-    grid = np.union1d(emp, ref)
+    # both step functions change only at their samples; sorting the joined
+    # samples, not np.union1d, keeps numpy.ma unimported
+    grid = np.sort(np.concatenate((emp, ref)))
     ce = np.searchsorted(emp, grid, side="right") / len(emp)
     cr = np.searchsorted(ref, grid, side="right") / len(ref)
     return float(np.max(np.abs(ce - cr)))

@@ -21,7 +21,10 @@ straight into a (s, sectors, h, h) stack.  A scalar s is a batch of one;
 determinants of a whole batch in one stacked LU call.  Every other twist
 is that matrix lifted by `_lift`, which places the unitary of each source
 disc's connecting letter on its columns.  `assemble_blocks` is a view of
-the untwisted matrix, block by block.
+the untwisted matrix, block by block.  Many abelian characters at one s
+share that matrix further: `_character_dets` eliminates their lattice
+coordinates one at a time, by Schur complements over the discs of each
+coordinate, and takes one small stacked LU per character at the end.
 
 A group whose discs and generators are symmetric under J(z) = c0 - z
 (cylinder, symmetric3, sl2z-pair, or any group file with that symmetry) has
@@ -348,6 +351,73 @@ def _lift(M: np.ndarray, letters: np.ndarray) -> np.ndarray:
     U = letters[_source_letters(nd, 1)].transpose(1, 0, 2)[:, :, None, :]
     lead = M.shape[:-2]
     return (M.reshape(lead + (nd, nb, 1, nd, nb, 1)) * U).reshape(lead + (nd * nb * d, -1))
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_order(m: int, nb: int) -> np.ndarray:
+    """The columns of the 2m discs (nb each) in the order 0, m, 1, m+1, ..,
+    m-1, 2m-1, read-only: lattice coordinate k of a character lives on
+    positions 2k nb to 2(k+1) nb of this order."""
+    discs = np.arange(2 * m).reshape(2, m).T.reshape(-1)
+    index = (discs[:, None] * nb + np.arange(nb)).reshape(-1)
+    index.setflags(write=False)
+    return index
+
+
+def _character_dets(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, int]:
+    """det(I - M D_theta) for every character theta, a row of thetas (C,
+    m), where M is the untwisted matrix base at one s and D_theta the
+    column phases of `_lift`; with the number of blocks eliminated.
+
+    Coordinate k of theta lives only on the columns of discs k and k+m:
+    exp(-2 pi i theta_k) on disc k, its conjugate on disc k+m.  With those
+    2nb columns first (`_lattice_order`), M = [[A, B], [C, R]] and D = D_A
+    (+) D_R give det(I - M D) = det(I - A D_A) det(I - S D_R), where S = R
+    + C D_A (I - A D_A)^-1 B depends on theta_1 alone.  So one block is
+    eliminated per distinct theta_1, then one per distinct (theta_1,
+    theta_2) from its S, and so on; the last coordinate's determinants
+    det(I - S D_last) are one stacked LU over every character.  For m = 1
+    that LU is the whole computation.  At the first level A is
+    block-diagonal, since discs k and k+m never feed each other, so its
+    solves are two stacked nb x nb ones.  Eliminating coordinates 1..k
+    factors I minus the twisted operator of the Schottky subgroup of
+    letters 1..k on its own discs, which has no eigenvalue 1 at a real s
+    above that subgroup's critical exponent, and so at the group's delta."""
+    count, m = thetas.shape
+    nb = base.shape[-1] // (2 * m)
+    h = 2 * nb
+    order = _lattice_order(m, nb)
+    phases = _character_letters(thetas).reshape(count, 2 * m)[:, _source_letters(2 * m, nb)[order]]
+    S = base[np.ix_(order, order)][None]
+    member = np.zeros(count, dtype=int)  # each character's matrix in the stack S
+    dets = np.ones(count, dtype=complex)
+    eliminated = 0
+    for k in range(m - 1):
+        _, first, inverse = np.unique(thetas[:, :k + 1], axis=0, return_index=True,
+                                      return_inverse=True)
+        D = phases[first, k * h:(k + 1) * h]
+        if k == 0:
+            e = D[:, ::nb].T[:, :, None, None]  # (2, U, 1, 1): the phases of A's two blocks
+            lhs = _identity(nb) - e * np.stack((S[0, :nb, :nb], S[0, nb:h, nb:h]))[:, None]
+            pivots = np.prod(np.linalg.det(lhs), axis=0)
+            X = e * np.linalg.solve(lhs, S[0, :h, h:].reshape(2, 1, nb, -1))
+            X = X.transpose(1, 0, 2, 3).reshape(len(first), h, -1)
+            C, R = S[0, h:, :h], S[0, h:, h:]
+        else:
+            parents = member[first]
+            lhs = _identity(h) - S[parents, :h, :h] * D[:, None, :]
+            pivots = np.linalg.det(lhs)
+            X = D[:, :, None] * np.linalg.solve(lhs, S[parents, :h, h:])
+            C, R = S[parents, h:, :h], S[parents, h:, h:]
+        update = C @ X
+        S = np.add(R, update, out=update)
+        member = inverse.reshape(-1)
+        dets *= pivots[member]
+        eliminated += len(first)
+    leaf = S[member]
+    np.multiply(leaf, phases[:, None, -h:], out=leaf)
+    dets *= np.linalg.det(np.subtract(_identity(h), leaf, out=leaf))
+    return dets, eliminated
 
 
 def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,10 +119,55 @@ def test_scan_rejects_a_complex_delta(sym3, delta3):
             abelian.nonvanishing_scan(sym3, grid_n=4, delta=delta, lmax=8)
 
 
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+def test_scan_rejects_a_non_finite_delta(sym3, delta):
+    with pytest.raises(ValueError):
+        abelian.nonvanishing_scan(sym3, grid_n=4, delta=delta, lmax=8)
+
+
+@pytest.mark.parametrize("name", ["cylinder", "symmetric3", "sl2z-pair", "sl2z-crossed"])
+def test_scan_residual_is_the_lifted_determinant_at_zero(name):
+    """The residual at theta = 0 is, bit for bit, the modulus of the LU
+    determinant of the untwisted matrix lifted by theta = 0's letters,
+    taken as one row of a batch of grid characters."""
+    data = sk.preset(name)
+    delta = zeros._delta_of(data, 16)
+    scan = abelian.nonvanishing_scan(data, grid_n=6, delta=delta)
+    base = transfer.assemble(data, complex(delta), TwistSpec.trivial(), 16)
+    k = np.vstack((np.ones((3, data.m), int), np.zeros(data.m, int)))
+    letters = transfer._character_letters(k / 6)[-1]
+    assert scan["residual_at_zero"] == abs(transfer.fredholm_det(transfer._lift(base, letters)))
+
+
+@pytest.mark.parametrize("name", ["symmetric3", "sl2z-crossed"])
+def test_scan_at_delta_zero_stays_finite(name):
+    """At s = 0 the determinant of each cyclic subgroup vanishes, so the
+    block eliminated at theta_1 = 0 is singular to working precision; the
+    scan still returns finite values without raising."""
+    data = sk.preset(name)
+    base = transfer.assemble(data, 0j, TwistSpec.trivial(), 12)
+    nb = 13
+    order = transfer._lattice_order(data.m, nb)
+    block = np.eye(nb) - base[np.ix_(order[:nb], order[:nb])]
+    assert np.linalg.cond(block) > 1e14
+    scan = abelian.nonvanishing_scan(data, grid_n=4, delta=0.0, lmax=12)
+    assert scan["eliminations"] > 0
+    assert math.isfinite(scan["min_offlattice"]) and math.isfinite(scan["residual_at_zero"])
+
+
 # The letter permutation of each group's disc involution, written out on
 # characters: symmetric3 swaps and negates, sl2z-pair and the cylinder negate.
 _PI = {"cylinder": lambda k: (-k[0],), "symmetric3": lambda k: (-k[1], -k[0]),
        "sl2z-pair": lambda k: (-k[0], -k[1]), "sl2z-crossed": None}
+
+
+def _orbit_first(name, k, grid_n):
+    """The first point in scan order of the grid point k's orbit under
+    theta -> -theta and the involution's letter permutation."""
+    orbit = {k, tuple(-c for c in k)}
+    if _PI[name] is not None:
+        orbit |= {_PI[name](c) for c in orbit}
+    return min(tuple(c % grid_n for c in member) for member in orbit)
 
 
 @pytest.mark.parametrize("name, grid_n, orbits", [
@@ -129,7 +178,9 @@ def test_scan_matches_the_full_grid_oracle(name, grid_n, orbits, monkeypatch):
     """Same minimum and residual as one determinant per grid point, to
     1e-12 relative; the argmin is the first grid point, in scan order, of
     the oracle argmin's orbit under theta -> -theta and the involution's
-    letter permutation; one determinant per orbit, plus one at theta = 0."""
+    letter permutation; one leaf determinant per orbit, one block
+    eliminated per distinct leading part of the orbits' first points, and
+    one `fredholm_det`, at theta = 0."""
     data = sk.preset(name)
     delta = zeros._delta_of(data, 16)
     want = full_grid_scan(data, grid_n, delta)
@@ -142,15 +193,17 @@ def test_scan_matches_the_full_grid_oracle(name, grid_n, orbits, monkeypatch):
 
     monkeypatch.setattr(transfer, "fredholm_det", counting)
     got = abelian.nonvanishing_scan(data, grid_n=grid_n, delta=delta)
-    assert len(calls) == orbits + 1
+    assert len(calls) == 1
+    assert got["orbits"] == orbits
+    firsts = {_orbit_first(name, k, grid_n)
+              for k in itertools.product(range(grid_n), repeat=data.m)
+              if max(min(c, grid_n - c) for c in k) >= 0.05 * grid_n}
+    assert len(firsts) == orbits
+    assert got["eliminations"] == sum(len({k[:j] for k in firsts}) for j in range(1, data.m))
     for key in ("min_offlattice", "residual_at_zero"):
         assert abs(got[key] - want[key]) <= 1e-12 * want[key], key
     k = tuple(round(t * grid_n) for t in want["argmin"])
-    orbit = {k, tuple(-c for c in k)}
-    if _PI[name] is not None:
-        orbit |= {_PI[name](c) for c in orbit}
-    first = min(tuple(c % grid_n for c in member) for member in orbit)
-    assert got["argmin"] == tuple(c / grid_n for c in first)
+    assert got["argmin"] == tuple(c / grid_n for c in _orbit_first(name, k, grid_n))
 
 
 def test_modulus_field_symmetry():
@@ -231,6 +284,32 @@ def test_equidistribution_trend_small(sym3):
     # near-delta counting scales with the cover order
     ratios = [c / n for c, (n, _) in zip(res.counts, res.moduli_sequence)]
     assert max(ratios) / max(min(ratios), 1e-9) < 3.0
+
+
+def test_ks_distance_is_the_union_grid_maximum():
+    """The Kolmogorov distance over the sorted joined samples equals the
+    maximum over np.union1d of them, ties and shared points included."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        emp = np.sort(rng.integers(0, 12, size=rng.integers(1, 9)) / 4)
+        ref = np.sort(rng.integers(0, 12, size=rng.integers(1, 30)) / 4)
+        grid = np.union1d(emp, ref)
+        want = np.max(np.abs(np.searchsorted(emp, grid, side="right") / len(emp)
+                             - np.searchsorted(ref, grid, side="right") / len(ref)))
+        assert abelian._ks_distance(emp, ref) == want
+
+
+def test_equidistribution_leaves_numpy_ma_unimported():
+    """np.union1d's np.unique path imports numpy.ma, 15-30 ms in a fresh
+    interpreter; a small experiment, KS distances included, loads none of it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; from reslab import abelian, schottky as sk; "
+            "r = abelian.equidistribution_experiment(sk.preset('symmetric3'), "
+            "[(4, 1), (8, 1)], lmax=8, fine=32); "
+            "print(min(r.counts) > 0 and len(r.reference_cdf) > 0, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_reference_density_exponent(sym3):
