@@ -138,6 +138,14 @@ def _decode(code: int) -> ConjClassLabel:
     return ConjClassLabel(trace=code // 8, kind=kind, sign=sign, square_class=square)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) without the numpy.ma import on np.unique's path."""
+    s = np.sort(values)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def conjugacy_partition_mod_p(elems: np.ndarray, p: int) -> np.ndarray:
     """Partition the listed SL2(F_p) elements into conjugacy orbits by brute
     force; the orbit check of class_statistics(validate=True).
@@ -173,7 +181,7 @@ def conjugacy_partition_mod_p(elems: np.ndarray, p: int) -> np.ndarray:
         zc = (yc * ia + yd * ic) % p
         zd = (yc * ib + yd * id_) % p
         zkey = ((za * p + zb) * p + zc) * p + zd
-        labels[order[np.searchsorted(sorted_keys, np.unique(zkey))]] = nxt
+        labels[order[np.searchsorted(sorted_keys, _distinct(zkey))]] = nxt
         nxt += 1
     return labels
 
@@ -205,9 +213,10 @@ def class_statistics(p: int, validate: bool = False) -> dict:
                          f"the cap of {MAX_GROUP_ORDER}")
     elems = all_elements(p)
     codes = _classify_codes(elems, p)
-    uniq, counts = np.unique(codes, return_counts=True)
+    counts = np.bincount(codes)
+    uniq = np.flatnonzero(counts)
     out = {}
-    for lab, measured in sorted(zip(map(_decode, uniq.tolist()), counts.tolist())):
+    for lab, measured in sorted(zip(map(_decode, uniq.tolist()), counts[uniq].tolist())):
         size = class_size(lab, p)
         if measured != size:
             raise AssertionError(f"class size mismatch for {lab}: {measured} vs {size}")
@@ -218,11 +227,11 @@ def class_statistics(p: int, validate: bool = False) -> dict:
         part = conjugacy_partition_mod_p(elems, p)
         # distinct (orbit, code) pairs: a bijection iff each orbit carries one
         # code and each code covers one orbit
-        pairs = np.unique(part * (8 * p) + codes)
+        pairs = _distinct(part * (8 * p) + codes)
         orbits, pair_codes = pairs // (8 * p), pairs % (8 * p)
-        if np.unique(orbits).size != pairs.size:
+        if _distinct(orbits).size != pairs.size:
             raise AssertionError("an orbit carries several labels")
-        if np.unique(pair_codes).size != pairs.size:
+        if _distinct(pair_codes).size != pairs.size:
             raise AssertionError("one label covers several brute-force orbits")
         if pairs.size != len(out):
             raise AssertionError("orbit count differs from label count")

@@ -3,6 +3,7 @@ floating-point formatting, and static SVG scatter plots."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -75,10 +76,11 @@ def _column(values: tuple) -> tuple[str, Sequence]:
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Every cell as _cell renders it; rows must all have the same length."""
     columns = [_column(c) for c in zip(*rows, strict=True)]
-    template = ",".join(fmt for fmt, _ in columns)
-    lines = [",".join(header)]
-    lines += [template % row for row in zip(*(vals for _, vals in columns))]
-    atomic_write(path, "\n".join(lines) + "\n")
+    nrows = len(columns[0][1]) if columns else 0
+    line = ",".join(fmt for fmt, _ in columns) + "\n"
+    # one format call over every cell, row by row: no string per row
+    cells = tuple(itertools.chain.from_iterable(zip(*(vals for _, vals in columns))))
+    atomic_write(path, ",".join(header) + "\n" + (line * nrows) % cells)
 
 
 def _json_value(v) -> str:

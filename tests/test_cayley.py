@@ -228,10 +228,49 @@ def _random_multiplicities(rng):
     return (upper + upper.T).astype(float)
 
 
+def _random_multigraph_with_loops(n, seed):
+    """Symmetric multiplicities 0..3 with diagonal entries, which every
+    Cheeger search ignores."""
+    upper = np.triu(np.random.default_rng(seed).integers(0, 4, size=(n, n)))
+    return (upper + np.triu(upper, 1).T).astype(float)
+
+
+_GROUP_GRAPHS = [("sl2z-pair", (3, 4)), ("sl2z-crossed", (2, 2, 2, 2)),
+                 ("sl2z-crossed", (3, 2, 2, 1))]
+
+
 @pytest.mark.parametrize("adj", [
-    *(cy.adjacency_matrix(cy.cycle_graph(N)) for N in range(3, 17)),
+    *(cy.adjacency_matrix(cy.cycle_graph(N)) for N in range(3, 19)),
     cy.adjacency_matrix(cy.CayleyGraph(AbelianQuotient((4,)), ((1,), (3,), (2,)))),
     *(_random_multiplicities(np.random.default_rng(seed)) for seed in range(20)),
-], ids=[*(f"C{N}" for N in range(3, 17)), "K4", *(f"random{s}" for s in range(20))])
+    *(_random_multigraph_with_loops(n, n) for n in range(2, 15)),
+    *(cy.adjacency_matrix(cy.graph_from_group(sk.preset(name), moduli))
+      for name, moduli in _GROUP_GRAPHS),
+], ids=[*(f"C{N}" for N in range(3, 19)), "K4", *(f"random{s}" for s in range(20)),
+        *(f"loops{n}" for n in range(2, 15)),
+        *(f"{name}-{'x'.join(map(str, moduli))}" for name, moduli in _GROUP_GRAPHS)])
 def test_cheeger_bitmask_equals_einsum_sweep(adj):
     assert cy.cheeger_exhaustive(adj) == _cheeger_by_einsum(adj)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64])
+def test_cheeger_blocks_split_across_subset_sizes(monkeypatch, cells):
+    """Small blocks cut rows of several subset sizes apart, as the blocks of
+    graphs above 16 vertices do."""
+    monkeypatch.setattr(cy, "BLOCK_CELLS", cells)
+    for n in (2, 3, 7, 10):
+        adj = _random_multigraph_with_loops(n, 100 + n)
+        assert cy.cheeger_exhaustive(adj) == _cheeger_by_einsum(adj)
+    adj = cy.adjacency_matrix(cy.cycle_graph(11))
+    assert cy.cheeger_exhaustive(adj) == _cheeger_by_einsum(adj)
+
+
+@pytest.mark.parametrize("adj", [np.zeros((0, 0)), np.zeros((1, 1)), np.array([[2.0]])])
+def test_cheeger_without_admissible_subsets_is_inf(adj):
+    assert cy.cheeger_exhaustive(adj) == np.inf
+
+
+def test_cheeger_exact_at_the_exhaustive_cap():
+    res = cy.cheeger_constant(cy.cycle_graph(cy.EXHAUSTIVE_CAP))
+    assert res.exact
+    assert res.value == 2.0 / (cy.EXHAUSTIVE_CAP // 2)

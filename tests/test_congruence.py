@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -211,6 +214,35 @@ def test_every_caller_classifies_through_classify_codes(monkeypatch, pair):
     assert rows[:n] == calls[1][0]
     assert all(cg._mul_mod_p(g, g_inv, 31) == (1, 0, 0, 1)
                for g, g_inv in zip(rows[:n], rows[n:]))
+
+
+@pytest.mark.parametrize("partition, message", [
+    (lambda elems, p: np.zeros(len(elems), dtype=np.int64), "an orbit carries several"),
+    (lambda elems, p: np.arange(len(elems), dtype=np.int64), "one label covers several"),
+])
+def test_validate_refuses_a_partition_that_disagrees(monkeypatch, partition, message):
+    monkeypatch.setattr(cg, "conjugacy_partition_mod_p", partition)
+    with pytest.raises(AssertionError, match=message):
+        cg.class_statistics(5, validate=True)
+
+
+def test_distinct_matches_np_unique():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 50):
+        values = rng.integers(-4, 5, size=size)
+        assert np.array_equal(cg._distinct(values), np.unique(values))
+
+
+def test_class_statistics_leaves_numpy_ma_unimported():
+    """np.unique's path imports numpy.ma, about 15 ms in a fresh interpreter;
+    the class table and its orbit check load none of it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; from reslab import congruence; "
+            "print(len(congruence.class_statistics(7, validate=True)), "
+            "'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["11", "False"]
 
 
 def test_orbit_oracle_runs_only_on_request(monkeypatch):
