@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import abelian, cayley, congruence, explicit_formula, report
+# abelian, cayley, congruence and explicit_formula are imported inside the
+# runners that use them, so a call loads only the modules it runs.
+from . import report
 from . import schottky as sk
 from . import thermo, transfer, zeros
 from .transfer import TwistSpec
@@ -69,6 +71,8 @@ def _parse_floats(text: str, n: Optional[int] = None, label: str = "value"):
         vals = tuple(float(x) for x in str(text).split(","))
     except ValueError:
         raise ValidationFailure(f"cannot parse {label}: {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ValidationFailure(f"--{label} must be finite, got {text!r}")
     if n is not None and len(vals) != n:
         raise ValidationFailure(f"{label} needs {n} comma-separated numbers")
     return vals
@@ -92,14 +96,17 @@ def _parse_rect(args):
 
 def _number(args, name: str, default, kind):
     """Flag value converted by kind, or the default when the flag is unset;
-    an explicit 0 is a value like any other."""
+    an explicit 0 is a value like any other, an infinity or a NaN is not."""
     value = getattr(args, name, None)
     if value is None:
         return default
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
         raise ValidationFailure(f"cannot parse {name}: {value!r}")
+    if kind is float and not math.isfinite(number):
+        raise ValidationFailure(f"--{name} must be finite, got {value!r}")
+    return number
 
 
 def _lmax(args, default: int, minimum: int = 2) -> int:
@@ -129,8 +136,9 @@ def _load_group(args, check: bool = True) -> sk.SchottkyData:
         return data
     name = getattr(args, "preset", None) or "symmetric3"
     kwargs = {}
-    if getattr(args, "trace", None) is not None:
-        kwargs["t"] = args.trace
+    trace = _number(args, "trace", None, float)
+    if trace is not None:
+        kwargs["t"] = trace
     try:
         return sk.preset(name, **kwargs)
     except ValueError as exc:
@@ -242,6 +250,8 @@ def _run_resonances(args) -> int:
 
 
 def _run_cover_abelian(args) -> int:
+    from . import abelian
+
     data = _load_group(args)
     moduli = _parse_ints(args.moduli or "2,1", "moduli")
     lmax = _lmax(args, 16)
@@ -273,6 +283,8 @@ def _run_cover_abelian(args) -> int:
 
 
 def _run_equidist(args) -> int:
+    from . import abelian
+
     data = _load_group(args)
     Ns = _parse_ints(args.covers or "8,16,32", "covers")
     lmax = _lmax(args, 12)
@@ -310,6 +322,8 @@ def _run_equidist(args) -> int:
 
 
 def _run_congruence(args) -> int:
+    from . import congruence
+
     data = _load_group(args)
     p = _number(args, "prime", 101, int)
     beta = _number(args, "beta", 1.5, float)
@@ -341,6 +355,8 @@ def _run_congruence(args) -> int:
 
 
 def _run_explicit_formula(args) -> int:
+    from . import explicit_formula
+
     data = _load_group(args)
     J = _number(args, "order", 12, int)
     eps = _number(args, "eps", 0.5, float)
@@ -372,6 +388,8 @@ def _run_explicit_formula(args) -> int:
 
 
 def _run_cayley(args) -> int:
+    from . import cayley
+
     data = _load_group(args) if (args.group or args.preset) else None
     Ns = _parse_ints(args.covers or "64,128,256,512,1024", "covers")
     try:
@@ -449,10 +467,13 @@ _EXPERIMENT_FLAGS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(names=EXPERIMENTS) -> _Parser:
+    """The reslab parser with a subparser for each experiment in names.
+    main builds only the one its argv names, when it names one: building
+    all nine costs more than parsing."""
     parser = _Parser(prog="reslab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in EXPERIMENTS:
+    for name in names:
         p = sub.add_parser(name, prog=f"reslab {name}")
         p.add_argument("--config", help="JSON config file; flags override it")
         for flag in _COMMON_FLAGS + _EXPERIMENT_FLAGS[name]:
@@ -518,12 +539,12 @@ def _merge_negative_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
+    named = argv[:1] if argv and argv[0] in EXPERIMENTS else EXPERIMENTS
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(named).parse_args(argv)
         if not args.command:
             raise _UsageError("no subcommand given")
     except _UsageError as exc:

@@ -31,7 +31,8 @@ _HEAD_TERMS = 4095
 
 @lru_cache(maxsize=1)
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # imported on first use: the CLI imports this module for every subcommand
+    # imported on first use: importing numpy.polynomial costs about 3 ms,
+    # which only the width normaliser needs
     from numpy.polynomial.legendre import leggauss
 
     return leggauss(48)
@@ -160,14 +161,20 @@ def fourier_envelope_check(tf: TestFunction, xi_min: float = 10.0,
     A function with only slow polynomial decay (a single box) has a
     certified constant that collapses towards zero at the top of the range;
     the check fails when the top-decade constant is below shape_ratio_min
-    times the bottom-decade constant.  Up to xi = 1/mu_1, mu_1 the widest
-    box, the envelope is 1 and the constant 0, so the shape ratio has
-    nothing to compare against: a range that starts there is a ValueError."""
+    times the bottom-decade constant.  A range on which that test cannot
+    reject a single box as wide as the widest box mu_1 certifies nothing: a
+    ValueError.  That covers every range starting at or below 1/mu_1, where
+    the envelope is 1 and the constant 0, and ranges starting just past it,
+    where the box's own constant is near 0 at the bottom."""
     mu = np.array(tf.widths)
-    if xi_min * mu.max() <= 1.0:
-        raise ValueError(f"xi_min {xi_min:g} is not past 1/(widest box) = {1 / mu.max():g}")
     xi = np.logspace(math.log10(xi_min), math.log10(xi_max), n_xi)
     u = xi / np.log(xi) ** (1.0 + alpha)
+    # the single box's pointwise constant log(xi mu_1) / u at both ends
+    bottom, top = np.log(xi[[0, -1]] * mu.max()) / u[[0, -1]]
+    if not (bottom > 0.0 and top / bottom < shape_ratio_min):
+        raise ValueError(
+            f"xi in [{xi_min:g}, {xi_max:g}] cannot reject a single box as wide "
+            f"as the widest box ({mu.max():g})")
     log_env = np.minimum(0.0, -np.log(np.outer(xi, mu))).sum(axis=1)
     A = np.vstack([np.ones_like(u), -u]).T
     (log_c1, c2_fit), *_ = np.linalg.lstsq(A, log_env, rcond=None)

@@ -1,12 +1,12 @@
 """Reference constructions that the tests compare the program against:
 transfer blocks built block by block from the definitions, central-difference
-Newton for zero refinement, a quadrature Fourier transform, the test-function
-width normaliser summed term by term, the test function convolved over the
-whole padded grid, the determinant of one full matrix, the character scan
-with one determinant per grid point, sampled pressure curves, reduced words
-one at a time, the dense Cayley Laplacian, Cayley connectivity by
-breadth-first search, and SL2(F_p) arithmetic one matrix at a time with the
-scalar conjugacy classifier."""
+Newton for zero refinement, a quadrature Fourier transform, the envelope fit
+without a refusal rule, the test-function width normaliser summed term by
+term, the test function convolved over the whole padded grid, the
+determinant of one full matrix, the character scan with one determinant per
+grid point, sampled pressure curves, reduced words one at a time, the dense
+Cayley Laplacian, Cayley connectivity by breadth-first search, and SL2(F_p)
+arithmetic one matrix at a time with the scalar conjugacy classifier."""
 
 import math
 from collections import defaultdict
@@ -100,6 +100,32 @@ def fourier_grid(tf, xi):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     h = tf.x[1] - tf.x[0]
     return np.array([np.sum(tf.values * np.exp(-1j * w * tf.x)) * h for w in xi])
+
+
+def envelope_fit(tf, xi_min=10.0, xi_max=1.0e4, alpha=0.5, n_xi=600,
+                 shape_ratio_min=0.2):
+    """The dict of explicit_formula.fourier_envelope_check computed without
+    any refusal: the least-squares fit, the certified constant and the
+    shape ratio of the log-envelope on the logarithmic xi grid."""
+    mu = np.array(tf.widths)
+    xi = np.logspace(math.log10(xi_min), math.log10(xi_max), n_xi)
+    u = xi / np.log(xi) ** (1.0 + alpha)
+    log_env = np.minimum(0.0, -np.log(np.outer(xi, mu))).sum(axis=1)
+    A = np.vstack([np.ones_like(u), -u]).T
+    (log_c1, c2_fit), *_ = np.linalg.lstsq(A, log_env, rcond=None)
+    pointwise = -log_env / u
+    certified = float(pointwise.min())
+    ratio = float(pointwise[-1] / pointwise[0])
+    return {
+        "alpha": alpha,
+        "xi_range": (xi_min, xi_max),
+        "C2_fit": float(c2_fit),
+        "log_C1_fit": float(log_c1),
+        "C2_certified": certified,
+        "shape_ratio": ratio,
+        "shape_ratio_min": shape_ratio_min,
+        "passed": bool(certified > 0.0 and ratio >= shape_ratio_min),
+    }
 
 
 def width_normalizer_sum(eps, cutoff=2_000_000):

@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +23,66 @@ def test_usage_errors(capsys):
     assert run(["frobnicate"]) == 1
     assert run(["delta", "--nosuchflag"]) == 1
     assert run(["resonances", "--preset", "cylinder"]) == 1  # missing --rect
+
+
+def test_usage_error_messages(capsys):
+    """No subcommand and an unknown one go through the full parser: exit 1,
+    the argparse reason, then every experiment."""
+    listing = "experiments: " + ", ".join(cli.EXPERIMENTS) + "\n"
+    assert run([]) == 1
+    assert capsys.readouterr().err == "usage error: no subcommand given\n" + listing
+    assert run(["bogus"]) == 1
+    first, second = capsys.readouterr().err.splitlines(keepends=True)
+    assert first.startswith("usage error: argument command: invalid choice: 'bogus'")
+    assert all(f"'{name}'" in first for name in cli.EXPERIMENTS)
+    assert second == listing
+
+
+def test_top_level_help_lists_every_experiment(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["--help"])
+    assert exit_.value.code == 0
+    assert "{" + ",".join(cli.EXPERIMENTS) + "}" in capsys.readouterr().out
+
+
+_FLAG_VALUES = {int: "3", float: "0.25", None: "x"}
+_TEXT_VALUES = {"rect": "-0.5,0.5,0,4", "theta": "-0.25", "grid": "5,7",
+                "moduli": "3,1", "covers": "4,8"}
+
+
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_one_subcommand_parser_matches_the_full_one(name):
+    """The parser main builds for one experiment reads every flag of it,
+    a negative --rect and --config included, as the nine-subcommand one."""
+    argv = [name, "--config", "cfg.json"]
+    for flag in cli._COMMON_FLAGS + cli._EXPERIMENT_FLAGS[name]:
+        argv += ["--" + flag, _TEXT_VALUES.get(flag, _FLAG_VALUES[cli._FLAGS[flag][0]])]
+    argv = cli._merge_negative_values(argv)
+    one = cli._build_parser([name]).parse_args(argv)
+    assert one == cli._build_parser().parse_args(argv)
+    assert one.command == name and one.config == "cfg.json"
+    assert all(getattr(one, flag) is not None for flag in cli._EXPERIMENT_FLAGS[name])
+
+
+def test_each_call_imports_only_what_it_runs(tmp_path):
+    """In one interpreter, validate and a cylinder resonance count load none
+    of the cover, Cayley, congruence or explicit-formula modules; congruence
+    then loads its own module and no other."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; from reslab import cli; "
+            "lazy = ('abelian', 'cayley', 'congruence', 'explicit_formula'); "
+            f"out = {str(tmp_path)!r}; "
+            "calls = [['validate', '--preset', 'cylinder'], "
+            "['resonances', '--preset', 'cylinder', '--rect', '0.2,0.8,-0.5,0.5', "
+            "'--lmax', '6', '--out', out], "
+            "['congruence', '--preset', 'sl2z-pair', '--prime', '5', '--out', out]]\n"
+            "for argv in calls:\n"
+            "    code = cli.main(argv)\n"
+            "    print('loaded', code, *[m for m in lazy if 'reslab.' + m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    loaded = [line.split()[1:] for line in out.splitlines() if line.startswith("loaded")]
+    assert loaded == [["0"], ["0"], ["0", "congruence"]]
 
 
 def test_validate_pass_and_fail(tmp_path, capsys):
@@ -48,8 +110,10 @@ def test_validate_pass_and_fail(tmp_path, capsys):
     # order 2^64, which an int64 product would read as 0
     ["cover-abelian", "--preset", "symmetric3", "--rect", "0.17,0.3,-0.05,0.05",
      "--moduli", "4294967296,4294967296"],
+    # an integer flag is not checked as a float, which would overflow
+    ["congruence", "--preset", "sl2z-pair", "--prime", "9" * 400],
 ], ids=["grid_not_int", "reversed_rect", "lmax_1", "cayley_order_above_cap",
-        "cover_order_above_cap"])
+        "cover_order_above_cap", "prime_beyond_float_range"])
 def test_malformed_input_is_validation_failure(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -87,6 +151,28 @@ def test_explicit_zero_is_used_or_rejected(argv, code, artifact, key,
     else:
         body = json.loads((tmp_path / artifact).read_text())
         assert body[key] == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["zeta-scan", "--preset", "cylinder", "--rect", "0,1,0,1", "--grid", "2,2",
+      "--theta", "inf"], "--theta"),
+    (["zeta-scan", "--preset", "cylinder", "--rect", "0,1,0,1", "--grid", "2,2",
+      "--theta", "nan"], "--theta"),
+    (["resonances", "--preset", "cylinder", "--rect", "0,1,0,inf"], "--rect"),
+    (["explicit-formula", "--eps", "inf"], "--eps"),
+    (["delta", "--preset", "cylinder", "--tol", "inf"], "--tol"),
+    (["validate", "--preset", "cylinder", "--trace", "nan"], "--trace"),
+], ids=["theta_inf", "theta_nan", "rect_inf", "eps_inf", "tol_inf", "trace_nan"])
+def test_non_finite_value_is_refused_at_the_flag(argv, flag, tmp_path, capsys):
+    """An infinity or a NaN is a validation failure naming its flag, before
+    any determinant, warning or artifact: a NaN theta once wrote a scan of
+    NaN determinants with exit 0, and an infinite --tol printed delta 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation failure: {flag} must be finite")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_beta_at_upper_end_is_rejected_at_the_flag(tmp_path, capsys):
@@ -430,6 +516,15 @@ def test_explicit_formula_refuses_boxes_narrower_than_the_envelope_range(tmp_pat
         code = run(["explicit-formula", "--preset", "sl2z-pair", "--eps", "0.05",
                     "--order", "12", "--out", str(tmp_path)])
     assert code == 2
+    assert "widest box" in capsys.readouterr().err
+    assert not (tmp_path / "explicit_formula.json").exists()
+
+
+def test_explicit_formula_refuses_a_range_that_passes_a_single_box(tmp_path, capsys):
+    """At eps = 0.08 the widest box is just past 1/xi_min and a single box
+    read a shape ratio of 1.69, a pass; the run now exits 2."""
+    assert run(["explicit-formula", "--preset", "sl2z-pair", "--eps", "0.08",
+                "--order", "1", "--out", str(tmp_path)]) == 2
     assert "widest box" in capsys.readouterr().err
     assert not (tmp_path / "explicit_formula.json").exists()
 

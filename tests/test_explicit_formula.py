@@ -7,7 +7,7 @@ import pytest
 from reslab import explicit_formula as ef
 from reslab import schottky as sk
 
-from oracles import box_convolution_same, fourier_grid, width_normalizer_sum
+from oracles import box_convolution_same, envelope_fit, fourier_grid, width_normalizer_sum
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,29 @@ def test_envelope_refuses_a_range_before_the_widest_box_decays(eps, J):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="widest box"):
             ef.fourier_envelope_check(tf)
+
+
+def test_envelope_never_passes_a_single_box():
+    """From eps = 0.06 to 1 the single box, the slowest decay the check must
+    reject, is refused or fails; just past 1/mu_1 (eps 0.08 to 0.1) its
+    shape ratio is 1.69 to 0.25, above shape_ratio_min, so it is refused."""
+    for eps in np.round(np.arange(0.06, 1.0 + 1e-9, 0.01), 2):
+        tf = ef.build_test_function(float(eps), 1)
+        try:
+            rep = ef.fourier_envelope_check(tf)
+        except ValueError as exc:
+            assert "widest box" in str(exc)
+            continue
+        assert not rep["passed"], eps
+
+
+def test_envelope_at_eps_from_015_is_the_unrefused_fit():
+    """From eps = 0.15 up, which holds the default 0.5, the refusal rule
+    never fires and the report is the plain fit's."""
+    for eps in np.round(np.arange(0.15, 1.0 + 1e-9, 0.01), 2):
+        for J in (8, 12):
+            tf = ef.build_test_function(float(eps), J)
+            assert ef.fourier_envelope_check(tf) == envelope_fit(tf), (eps, J)
 
 
 def test_geodesic_sum_empty_below_shortest(pair, tf12):
