@@ -1,5 +1,6 @@
 """Euler-product oracle for twisted L-functions, argument-principle zero
-counting in rectangles, secant refinement, and resonance-set assembly."""
+counting in rectangles, secant refinement, and resonance sets located from
+the contour moments of those counts."""
 
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ REFINE_MAX_DETS = 150
 # of its segments.
 BASE_SEGMENTS = 16
 MAX_DEPTH = 48
-# resonances: the side below which a cell is refined without splitting, and
+# resonances: the side below which a cell is refined without splitting (also
+# the half-side of the box whose first moment places a multiple zero), and
 # the margin added around the requested rectangle.
 MIN_CELL = 1e-3
 PAD = 1e-3
@@ -158,7 +160,7 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
     return det
 
 
-def _winding(det: Callable, corners: Sequence[complex]) -> int:
+def _winding(det: Callable, corners: Sequence[complex]):
     """Winding number of det along the closed polygon through corners,
     by adaptive phase accumulation with steps kept below pi/2.
 
@@ -169,6 +171,9 @@ def _winding(det: Callable, corners: Sequence[complex]) -> int:
     first in batched passes; the walk then visits them in the same order
     as a plain callable's, and a point closer to a zero than
     CONTOUR_MIN_MODULUS raises ContourError at the same point.
+
+    Returns the winding number and, per edge, its base nodes, det there and
+    the phase of det unwrapped along the contour (0 at corners[0]).
     """
     vals = {}
 
@@ -197,11 +202,66 @@ def _winding(det: Callable, corners: Sequence[complex]) -> int:
     if hasattr(det, "many"):
         det.many([s for nodes in edges for s in nodes])
     total = 0.0
+    values, phases = [], []
     for nodes in edges:
         fs = [f(s) for s in nodes]
+        unwrapped = [total]
         for (p, q, fp, fq) in zip(nodes[:-1], nodes[1:], fs[:-1], fs[1:]):
             total += seg_phase(p, q, fp, fq, 0)
-    return int(round(total / (2 * math.pi)))
+            unwrapped.append(total)
+        values.append(fs)
+        phases.append(unwrapped)
+    return int(round(total / (2 * math.pi))), edges, values, phases
+
+
+# composite Simpson weights on the base nodes of an edge of unit length
+_SIMPSON = (np.array([1.0] + [4.0, 2.0] * (BASE_SEGMENTS // 2 - 1) + [4.0, 1.0])
+            / (3 * BASE_SEGMENTS))
+
+
+def _moments(walk, origin: complex, scale: float, kmax: int) -> np.ndarray:
+    """Moments s_0..s_kmax of the zeros inside a walked contour: s_k is
+    the sum of w^k over them, with multiplicity, where w = (s - origin) /
+    scale.  By parts, s_k = N w_0^k - (k / 2 pi i) times the contour
+    integral of w^(k-1) Log det dw, with N the winding count, w_0 the first
+    corner and Log det = log|det| + i times the walk's unwrapped phase, so
+    only the walk's base-node values are used: each edge by composite
+    Simpson on its base nodes."""
+    count, edges, values, phases = walk
+    w = (np.array(edges) - origin) / scale
+    logf = np.log(np.abs(values)) + 1j * np.array(phases)
+    k = np.arange(1, kmax + 1)
+    powers = w[..., None] ** (k - 1)
+    integrals = np.einsum("e,t,etk,et->k", w[:, -1] - w[:, 0], _SIMPSON, powers, logf)
+    moments = np.empty(kmax + 1, dtype=complex)
+    moments[0] = count
+    moments[1:] = count * w[0, 0] ** k - k * integrals / (2j * math.pi)
+    return moments
+
+
+def _hankel(moments: np.ndarray, count: int):
+    """Distinct zeros (in the moments' w) and their multiplicities from
+    s_0..s_{2N-1}, N = count: the eigenvalues of H_0^-1 H_1, H_j the N x N
+    Hankel matrix of s_{i+j}, then the Vandermonde solve for their weights.
+    Points of weight below 1/4 (or not finite) are spurious and dropped.
+    None unless the moments reach s_{2N-1}, every other weight lies within
+    1/4 of a positive integer and those integers sum to N."""
+    if len(moments) < 2 * count:
+        return None
+    index = np.add.outer(np.arange(count), np.arange(count))
+    with np.errstate(all="ignore"):
+        try:
+            points = np.linalg.eigvals(np.linalg.solve(moments[index], moments[index + 1]))
+            weights = np.linalg.solve(np.vander(points, count, increasing=True).T,
+                                      moments[:count])
+        except np.linalg.LinAlgError:
+            return None
+    keep = np.abs(weights) >= 0.25
+    mults = np.round(weights.real[keep])
+    if (np.any(mults < 1) or np.any(np.abs(weights[keep] - mults) >= 0.25)
+            or mults.sum() != count):
+        return None
+    return [(w, int(m)) for w, m in zip(points[keep], mults)]
 
 
 def _rect_corners(rect) -> list[complex]:
@@ -215,7 +275,7 @@ def count_zeros(data: sk.SchottkyData, twist: TwistSpec, rectangle,
     rectangle (re_min, re_max, im_min, im_max), by the argument principle."""
     if det is None:
         det = make_det(data, twist, lmax)
-    return _winding(det, _rect_corners(rectangle))
+    return _winding(det, _rect_corners(rectangle))[0]
 
 
 def refine_zero(data: sk.SchottkyData, twist: TwistSpec, s0: complex,
@@ -258,26 +318,78 @@ def _split_positions(lo: float, hi: float):
 def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
                lmax: int = 16, det: Optional[Callable] = None) -> ResonanceSet:
     """Locate the zeros of det(I - L_{rho,s}) in the rectangle, with
-    multiplicities from winding counts on isolating boxes.
+    multiplicities.
 
     The working rectangle is padded slightly so that zeros sitting exactly on
     the requested boundary (the cylinder lattice starts at Im(s) = 0) are
-    neither split nor missed.
+    neither split nor missed.  Its winding count N comes with the moments
+    s_0..s_{2N-1} of its zeros (`_moments`), taken from the determinants
+    the winding already computed, about its centre and in units of its
+    half-diagonal for the whole call.  A Hankel eigenproblem on them
+    (`_hankel`) gives the distinct zeros with multiplicities.  Each simple
+    zero is polished by `refine_zero` from its estimate; each multiple one
+    by `refine_zero` with its multiplicity, then by the first moment of a
+    box of half-side MIN_CELL around that point, whose winding must equal
+    the multiplicity, and its residual is |det| there.
+
+    A box whose Hankel step or polish fails any check (a failed solve, a
+    weight not near an integer, a zero outside the box, a refinement that
+    does not converge, two zeros within 1e-6) is split in two, as counts
+    and moments add: the second half's are the box's minus the first's.
+    Each half is solved the same way.  A cell holding one zero, or smaller
+    than MIN_CELL, whose Hankel step fails is refined from its centre; if
+    that fails too, it is reported in `unresolved`.
     """
     x0, x1, y0, y1 = (float(v) for v in rectangle)
     work = (x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD)
     if det is None:
         det = make_det(data, twist, lmax)
+    origin = complex((work[0] + work[1]) / 2, (work[2] + work[3]) / 2)
+    scale = abs(complex(work[1], work[3]) - origin)
 
-    def counted(rect) -> int:
-        return _winding(det, _rect_corners(rect))
+    walk = _winding(det, _rect_corners(work))
+    total = walk[0]
+    kmax = max(2 * total - 1, 1)
 
-    total = counted(work)
+    def counted(rect):
+        walk = _winding(det, _rect_corners(rect))
+        return walk[0], _moments(walk, origin, scale, kmax)
+
     zeros: list[tuple[complex, int]] = []
     residuals: list[float] = []
     unresolved: list[tuple[float, float, float, float]] = []
 
-    def split(rect, count):
+    def within(rect, s) -> bool:
+        rx0, rx1, ry0, ry1 = rect
+        return rx0 < s.real < rx1 and ry0 < s.imag < ry1
+
+    def located(rect, count, moments):
+        """[(zero, multiplicity, residual)] from the Hankel step, or None."""
+        found = _hankel(moments, count)
+        if found is None:
+            return None
+        out = []
+        for w, mult in found:
+            s, res, ok = refine_zero(data, twist, origin + scale * w, det=det, mult=mult)
+            if not ok or not within(rect, s):
+                return None
+            if mult > 1:
+                small = (s.real - MIN_CELL, s.real + MIN_CELL,
+                         s.imag - MIN_CELL, s.imag + MIN_CELL)
+                try:
+                    walk = _winding(det, _rect_corners(small))
+                except ContourError:
+                    return None
+                if walk[0] != mult:
+                    return None
+                s = complex(s + MIN_CELL * _moments(walk, s, MIN_CELL, 1)[1] / mult)
+                res = abs(det(s))
+            if any(abs(s - z) < 1e-6 for z, _, _ in out):
+                return None
+            out.append((s, mult, res))
+        return out
+
+    def split(rect, count, moments):
         rx0, rx1, ry0, ry1 = rect
         horizontal = (rx1 - rx0) >= (ry1 - ry0)
         lo, hi = (rx0, rx1) if horizontal else (ry0, ry1)
@@ -287,20 +399,25 @@ def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
             else:
                 a, b = (rx0, rx1, ry0, pos), (rx0, rx1, pos, ry1)
             try:
-                ca = counted(a)
+                ca, ma = counted(a)
             except ContourError:
                 continue
-            cb = count - ca
-            return a, ca, b, cb
+            return a, ca, ma, b, count - ca, moments - ma
         raise ContourError(complex((rx0 + rx1) / 2, (ry0 + ry1) / 2), 0.0)
 
-    def solve(rect, count):
+    def solve(rect, count, moments):
         rx0, rx1, ry0, ry1 = rect
         if count < 0:
             # a zero count below 0 proves that some winding missed a turn
             raise ContourError(complex((rx0 + rx1) / 2, (ry0 + ry1) / 2), math.nan,
                                f"negative zero count {count} in {rect}")
         if count == 0:
+            return
+        found = located(rect, count, moments)
+        if found is not None:
+            for s, mult, res in found:
+                zeros.append((s, mult))
+                residuals.append(res)
             return
         size = max(rx1 - rx0, ry1 - ry0)
         if count == 1 or size < MIN_CELL:
@@ -316,11 +433,11 @@ def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
             zeros.append((s, count))
             residuals.append(res)
             return
-        a, ca, b, cb = split(rect, count)
-        solve(a, ca)
-        solve(b, cb)
+        a, ca, ma, b, cb, mb = split(rect, count, moments)
+        solve(a, ca, ma)
+        solve(b, cb, mb)
 
-    solve(work, total)
+    solve(work, total, _moments(walk, origin, scale, kmax))
     # merge duplicates found from adjacent cells that refined to one point
     merged: list[tuple[complex, int]] = []
     merged_res: list[float] = []

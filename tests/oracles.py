@@ -1,6 +1,7 @@
 """Reference constructions that the tests compare the program against:
 transfer blocks built block by block from the definitions, central-difference
-Newton for zero refinement, a quadrature Fourier transform, the envelope fit
+Newton for zero refinement, the points an argument-principle walk asks for,
+a determinant that lists its lookups, a quadrature Fourier transform, the envelope fit
 without a refusal rule, the test-function width normaliser summed term by
 term, the test function convolved over the whole padded grid, the
 determinant of one full matrix, the character scan with one determinant per
@@ -8,6 +9,8 @@ grid point, sampled pressure curves, reduced words one at a time, the dense
 Cayley Laplacian, Cayley connectivity by breadth-first search, and SL2(F_p)
 arithmetic one matrix at a time with the scalar conjugacy classifier."""
 
+import cmath
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -92,6 +95,50 @@ def newton_refine(det, s0, mult=1):
             break
     v = det(s)
     return s, abs(v), converged or abs(v) < zeros.NEWTON_TOL
+
+
+def counting(det):
+    """det, and a list of the points it is asked for, in order.  The
+    wrapper is made by functools.wraps, so it keeps det.many, whose batched
+    points are not listed."""
+    calls = []
+
+    @functools.wraps(det)
+    def counted(s):
+        calls.append(s)
+        return det(s)
+
+    return counted, calls
+
+
+def winding_points(det, corners, base=16):
+    """The points a winding count of det along the polygon through corners
+    asks for, in order: each edge's base+1 equally spaced nodes in turn,
+    and between two neighbours whose det values differ in phase by pi/2 or
+    more, the midpoint, then the same for each half, the first half first.
+    A point met again is not asked for again."""
+    values = {}
+
+    def value(s):
+        if s not in values:
+            values[s] = det(s)
+        return values[s]
+
+    def halve(a, b, fa, fb):
+        if abs(cmath.phase(fb / fa)) < math.pi / 2:
+            return
+        mid = (a + b) / 2
+        fm = value(mid)
+        halve(a, mid, fa, fm)
+        halve(mid, b, fm, fb)
+
+    closed = list(corners) + [corners[0]]
+    for a, b in zip(closed[:-1], closed[1:]):
+        nodes = [a + (b - a) * t / base for t in range(base + 1)]
+        fs = [value(s) for s in nodes]
+        for p, q, fp, fq in zip(nodes[:-1], nodes[1:], fs[:-1], fs[1:]):
+            halve(p, q, fp, fq)
+    return list(values)
 
 
 def fourier_grid(tf, xi):

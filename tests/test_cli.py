@@ -280,23 +280,35 @@ def test_delta_stdout_deterministic(capsys):
     assert abs(float(first) - 0.2515811641598957) < 1e-10
 
 
-def test_resonances_cylinder_lattice(tmp_path, capsys):
+def _cylinder_lattice_run(rect, lattice, tmp_path):
+    """resonances on the cylinder exits 0 and writes the lattice points
+    2 pi i k / l for k in lattice, each of multiplicity 2, to 1e-7."""
     code = run(["resonances", "--preset", "cylinder",
-                "--rect", "-0.5,0.5,0,7", "--out", str(tmp_path)])
+                "--rect", rect, "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "resonances.csv").read_text().splitlines()
     assert lines[0] == "re,im,multiplicity,residual"
     rows = [ln.split(",") for ln in lines[1:]]
-    assert len(rows) == 3
+    assert len(rows) == len(lattice)
     assert all(r[2] == "2" for r in rows)
     ell = 2 * math.acosh(1.5)
     ims = sorted(float(r[1]) for r in rows)
-    for k, im in enumerate(ims):
+    for k, im in zip(lattice, ims):
         assert abs(im - 2 * math.pi * k / ell) < 1e-7
     assert (tmp_path / "resonances.svg").exists()
     report = json.loads((tmp_path / "resonances.json").read_text())
-    assert report["total_multiplicity"] == 6
+    assert report["total_multiplicity"] == 2 * len(lattice)
     assert report["schema_version"] == 1
+
+
+def test_resonances_cylinder_lattice(tmp_path, capsys):
+    _cylinder_lattice_run("-0.5,0.5,0,7", (0, 1, 2), tmp_path)
+
+
+def test_resonances_off_centre_box_exits_0(tmp_path, capsys):
+    """Split lines of the bisection passed within 1e-6 of the double zero
+    in this box, which ended in exit 3."""
+    _cylinder_lattice_run("-0.2592,0.1713,1.2746,4.9494", (1,), tmp_path)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

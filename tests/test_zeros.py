@@ -9,7 +9,7 @@ from reslab import schottky as sk
 from reslab import thermo, transfer, zeros
 from reslab.transfer import TwistSpec
 
-from oracles import newton_refine
+from oracles import counting, newton_refine, winding_points
 
 TRIV = TwistSpec.trivial()
 
@@ -98,17 +98,6 @@ def test_refine_flags_zero_free_region(sym3, delta3):
     assert not (ok and res < 1e-10 and abs(s - complex(delta3 + 2.0, 0.3)) < 0.5)
 
 
-def _counting(det):
-    """det, and a list whose length is the number of calls made to it."""
-    calls = []
-
-    def counted(s):
-        calls.append(s)
-        return det(s)
-
-    return counted, calls
-
-
 def test_secant_matches_newton_with_fewer_determinants(cyl):
     """Starts 0.004-0.02 from delta on two presets at lmax 16 and 32, and
     the cylinder's double zero: the secant lands on Newton's zero with
@@ -125,7 +114,7 @@ def test_secant_matches_newton_with_fewer_determinants(cyl):
                                                                math.sin(angle)), 1))
     dets = 0
     for data, lmax, s0, mult in cases:
-        det, calls = _counting(zeros.make_det(data, TRIV, lmax))
+        det, calls = counting(zeros.make_det(data, TRIV, lmax))
         s, _, ok = zeros.refine_zero(data, TRIV, s0, det=det, mult=mult)
         dets += len(calls)
         s_ref, _, ok_ref = newton_refine(zeros.make_det(data, TRIV, lmax), s0, mult=mult)
@@ -142,19 +131,23 @@ def test_refine_spends_at_most_its_budget(sym3, delta3):
     trajectory that reaches the zero 0.17 + 0.955i instead, so the start is
     given as a number: the path of 150 unit-capped steps follows its last
     bit."""
-    det, calls = _counting(zeros.make_det(sym3, TRIV, 16))
+    det, calls = counting(zeros.make_det(sym3, TRIV, 16))
     zeros.refine_zero(sym3, TRIV, complex(delta3 + 2.0, 0.3), det=det)
     assert len(calls) <= 152
     half = TwistSpec.abelian((0.5, 0.0))
-    det, calls = _counting(zeros.make_det(sym3, half, 10))
+    det, calls = counting(zeros.make_det(sym3, half, 10))
     _, _, ok = zeros.refine_zero(sym3, half, complex(0.2515811641598768), det=det)
     assert not ok
     assert len(calls) == 152
 
 
 def test_cylinder_resonance_lattice(cyl):
+    """The box of criterion 03, in at most 350 determinant lookups (965
+    when every zero was found by bisection)."""
     ell = 2 * math.acosh(1.5)
-    rs = zeros.resonances(cyl, TRIV, (-0.5, 0.5, 0.0, 7.0), lmax=16)
+    det, calls = counting(zeros.make_det(cyl, TRIV, 16))
+    rs = zeros.resonances(cyl, TRIV, (-0.5, 0.5, 0.0, 7.0), det=det)
+    assert len(calls) <= 350
     assert rs.contour_count == 6
     assert rs.total_multiplicity == 6
     assert len(rs.zeros) == 3
@@ -166,6 +159,39 @@ def test_cylinder_resonance_lattice(cyl):
         assert mult == 2
         assert abs(z.real) < 1e-7
     assert all(r < 1e-8 for r in rs.residuals)
+
+
+def test_double_zero_near_a_split_line(cyl):
+    """An off-centre box whose bisection put split lines within 1e-6 of
+    the double zero 2 pi i / l (ContourError after 1,968 lookups): one
+    zero of multiplicity 2, in at most 200 lookups, whose residual is
+    |det| at the reported point."""
+    det, calls = counting(zeros.make_det(cyl, TRIV, 16))
+    rs = zeros.resonances(cyl, TRIV, (-0.2592, 0.1713, 1.2746, 4.9494), det=det)
+    assert rs.unresolved == ()
+    assert [m for _, m in rs.zeros] == [2]
+    assert abs(rs.zeros[0][0] - 2j * math.pi / (2 * math.acosh(1.5))) < 1e-7
+    assert len(calls) <= 200
+    assert rs.residuals == (abs(det(rs.zeros[0][0])),)
+
+
+def test_multiple_zero_is_a_zero_of_the_truncated_determinant(cyl):
+    """The double zero near 3 (2 pi i / l), located from two different
+    boxes, is one point to 1e-12: the first moment of the small box
+    around it, not where a search stopped.  At lmax 16 that point sits
+    4.8e-7 off the lattice, at lmax 24 within 1e-10: the offset is the
+    truncation's."""
+    target = 3 * 2j * math.pi / (2 * math.acosh(1.5))
+    for lmax, (lo, hi) in ((16, (4.7e-7, 4.9e-7)), (24, (0.0, 1e-10))):
+        found = []
+        for box in ((-0.5, 0.5, 8.0, 12.0), (-0.1, 0.2, 9.0, 10.5)):
+            rs = zeros.resonances(cyl, TRIV, box, lmax=lmax)
+            assert rs.unresolved == () and len(rs.zeros) == 1
+            (z, mult), = rs.zeros
+            assert mult == 2
+            found.append(z)
+        assert abs(found[0] - found[1]) < 1e-12
+        assert lo <= abs(found[0] - target) < hi
 
 
 def test_simple_real_zero_at_delta(sym3, delta3):
@@ -252,11 +278,11 @@ def test_a_twisted_contour_takes_its_base_nodes_in_a_few_passes(cyl, monkeypatch
     passes = []
     assemble = transfer.assemble
 
-    def counting(*args, **kwargs):
+    def spy(*args, **kwargs):
         passes.append(args[1])
         return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(transfer, "assemble", counting)
+    monkeypatch.setattr(transfer, "assemble", spy)
     assert transfer._batch(cyl, 8, sectors=False) == 25
     rect = (-0.3, 0.3, 0.5, 2.5)
     assert zeros.count_zeros(cyl, TwistSpec.abelian([0.3]), rect, lmax=8) == 2
@@ -316,6 +342,151 @@ def test_negative_sub_count_raises():
 
     with pytest.raises(zeros.ContourError, match="negative zero count"):
         zeros.resonances(None, TRIV, (0.0, 1.0, 0.0, 1.0), det=det)
+
+
+def _polynomial(roots):
+    """1e9 times the monic polynomial with the given roots, repeated by
+    multiplicity: |det| stays above CONTOUR_MIN_MODULUS on a box of
+    half-side MIN_CELL around a triple root."""
+    flat = [r for r, mult in roots.items() for _ in range(mult)]
+    return lambda s: 1e9 * complex(np.prod([s - r for r in flat]))
+
+
+CLUSTERS = {complex(0.6, 0.5): 1, complex(-0.5, -0.4): 2, complex(-0.4, 0.6): 3}
+
+
+def _walked(monkeypatch):
+    """The corners of every contour `zeros._winding` goes round, in order."""
+    corners = []
+    walk = zeros._winding
+
+    def spy(det, rect_corners):
+        corners.append(tuple(rect_corners))
+        return walk(det, rect_corners)
+
+    monkeypatch.setattr(zeros, "_winding", spy)
+    return corners
+
+
+def test_moments_from_the_winding_values_are_power_sums():
+    """On a square of half-side 0.25 around each root, off its centre by
+    0.02 + 0.01i, the Simpson moments of the winding's own determinant
+    values match the power sums m ((r - c) / scale)^k: s_0 exactly and
+    s_1..s_3 (all a Hankel step needs for a double zero) to 1e-8."""
+    det = _polynomial(CLUSTERS)
+    for root, mult in CLUSTERS.items():
+        c, half = root + complex(0.02, 0.01), 0.25
+        walk = zeros._winding(det, zeros._rect_corners(
+            (c.real - half, c.real + half, c.imag - half, c.imag + half)))
+        scale = half * math.sqrt(2)
+        moments = zeros._moments(walk, c, scale, 3)
+        assert moments[0] == mult
+        power_sums = [mult * ((root - c) / scale) ** k for k in range(4)]
+        assert np.max(np.abs(moments - power_sums)) < 1e-8
+
+
+def test_hankel_step_gives_clusters_and_multiplicities(monkeypatch):
+    """A simple, a double and a triple root in one box: the Hankel step on
+    the box's own moments finds all three with their multiplicities, and
+    the only other contours walked are the boxes of half-side MIN_CELL
+    around the two multiple roots."""
+    walked = _walked(monkeypatch)
+    rs = zeros.resonances(None, TRIV, (-1.0, 1.0, -1.0, 1.0), det=_polynomial(CLUSTERS))
+    assert rs.unresolved == () and rs.contour_count == 6
+    assert sorted(m for _, m in rs.zeros) == [1, 2, 3]
+    for z, mult in rs.zeros:
+        root, = (r for r, m in CLUSTERS.items() if m == mult)
+        assert abs(z - root) < 1e-12
+    assert len(walked) == 3
+    for corners in walked[1:]:
+        assert abs(corners[2] - corners[0]) == pytest.approx(2 * math.sqrt(2) * zeros.MIN_CELL)
+
+
+def test_roots_closer_than_the_moments_resolve_take_the_bisection(monkeypatch):
+    """Two simple roots 1e-4 apart look like one double root to the
+    Hankel step, whose checks fail; the box is split until each half holds
+    one, and both are found.  The double root in the right half is found
+    from that half's moments, the box's minus the left half's: no contour
+    in the right half is walked but the small box around it."""
+    pair = {complex(-0.3 - 5e-5, 0.2): 1, complex(-0.3 + 5e-5, 0.2): 1, complex(0.5, -0.4): 2}
+    walked = _walked(monkeypatch)
+    rs = zeros.resonances(None, TRIV, (-1.0, 1.0, -1.0, 1.0), det=_polynomial(pair))
+    assert rs.unresolved == () and len(rs.zeros) == 3
+    for z, mult in rs.zeros:
+        root, = (r for r in pair if abs(z - r) < 1e-10)
+        assert mult == pair[root]
+    split = [c for c in walked[1:] if abs(c[2] - c[0]) > 3 * zeros.MIN_CELL]
+    assert split and all(max(p.real for p in c) <= 0.0 for c in split)
+
+
+def test_hankel_accepts_only_integer_weights():
+    """Exact power sums of weights 1, 2, 3 give the points and the weights;
+    weights 1.4, 0.6, 1 (rounding to integers that sum to N), weights 3
+    and -1 (integers that sum to N) and a count above the number of points
+    are refused."""
+    points = [complex(0.3, 0.1), complex(-0.2, -0.4), complex(0.05, 0.5)]
+
+    def power_sums(weights, count):
+        return np.array([sum(m * p ** k for p, m in zip(points, weights))
+                         for k in range(2 * count)])
+
+    found = zeros._hankel(power_sums((1, 2, 3), 6), 6)
+    assert sorted(m for _, m in found) == [1, 2, 3]
+    for w, mult in found:
+        assert abs(w - points[mult - 1]) < 1e-6
+    assert zeros._hankel(power_sums((1.4, 0.6, 1.0), 3), 3) is None
+    assert zeros._hankel(power_sums((3, -1), 2), 2) is None
+    assert zeros._hankel(power_sums((1, 1, 1), 4), 4) is None
+
+
+@pytest.mark.parametrize("case", ["duplicate", "small_box_count", "outside"])
+def test_a_failed_check_sends_the_box_to_the_bisection(case, monkeypatch):
+    """The work box's Hankel step is made to answer wrongly: two estimates
+    that polish to one simple root; multiplicity 2 for a triple root, whose
+    small box then counts 3; an estimate that polishes to a root outside
+    the box.  Each is caught, and the bisection finds the true zeros."""
+    r1, r2, outside = complex(0.3, 0.2), complex(-0.41, -0.33), complex(1.5, 0.0)
+    roots, fake = {
+        "duplicate": ({r1: 1, r2: 2},
+                      [(r1 + 1e-3, 1), (r1 - 1e-3, 1), (r2 - 7e-4 - 7e-4j, 2)]),
+        "small_box_count": ({r1: 1, r2: 3}, [(r1 + 1e-3, 1), (r2 - 7e-4 - 7e-4j, 2)]),
+        "outside": ({r1: 1, r2: 2, outside: 1},
+                    [(outside - 1e-3, 1), (r2 - 7e-4 - 7e-4j, 2)]),
+    }[case]
+    scale = abs(complex(1.0 + zeros.PAD, 1.0 + zeros.PAD))
+    hankel = zeros._hankel
+    calls = []
+
+    def first_answers_wrongly(moments, count):
+        calls.append(count)
+        if len(calls) == 1:
+            return [(s / scale, mult) for s, mult in fake]
+        return hankel(moments, count)
+
+    monkeypatch.setattr(zeros, "_hankel", first_answers_wrongly)
+    rs = zeros.resonances(None, TRIV, (-1.0, 1.0, -1.0, 1.0), det=_polynomial(roots))
+    assert len(calls) > 1 and rs.unresolved == ()
+    inside = {r: m for r, m in roots.items() if r != outside}
+    assert len(rs.zeros) == len(inside)
+    for z, mult in rs.zeros:
+        root, = (r for r in inside if abs(z - r) < 1e-9)
+        assert mult == inside[root]
+
+
+def test_count_zeros_asks_for_the_points_of_the_walk():
+    """count_zeros asks det for the same points, in the same order, as the
+    reference walk of its base nodes and halvings, on boxes with and
+    without halved segments."""
+    cyl = sk.preset("cylinder", t=3.0)
+    sizes = []
+    for rect in ((-0.0848, 0.3349, -2.1485, 5.5495), (-0.2, 0.2, 3.06, 3.46),
+                 (0.3, 0.6, -1.0, 1.0)):
+        det, calls = counting(zeros.make_det(cyl, TRIV, 16))
+        zeros.count_zeros(cyl, TRIV, rect, det=det)
+        want = winding_points(zeros.make_det(cyl, TRIV, 16), zeros._rect_corners(rect))
+        assert calls == want, rect
+        sizes.append(len(calls))
+    assert sizes[0] > sizes[-1] == 4 * zeros.BASE_SEGMENTS
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
