@@ -31,9 +31,9 @@ A group whose discs and generators are symmetric under J(z) = c0 - z
 an untwisted operator that commutes with F -> F o J.  Asked for its sectors,
 `assemble` runs the same plan and placement over half the pairs and returns
 the two half-size matrices of the +-1 eigenspaces, whose determinants
-multiply to the full one (Borthwick-Weich, J. Spectral Theory 6, 2016); when
-the two are one matrix, as for the cylinder, `fredholm_det` factors it once
-and squares.  The whole matrix is the unsplit case of that plan: its disc
+multiply to the full one (Borthwick-Weich, J. Spectral Theory 6, 2016);
+`fredholm_det` keeps them apart, and factors the cylinder's one repeated
+matrix once.  The whole matrix is the unsplit case of that plan: its disc
 permutation is the identity, so every disc is a representative.
 """
 
@@ -496,7 +496,7 @@ def assemble(data: sk.SchottkyData, s: complex | np.ndarray, twist: TwistSpec,
     involution (`_disc_involution`) comes back as its two half-size sector
     matrices instead, M+- = X +- Y of the split `_plan`, stacked with shape
     (2, n/2, n/2) and each transposed, which is the cheaper layout to
-    write: their determinants multiply to det(I - M) (`fredholm_det`) and
+    write: their determinants (`fredholm_det`) multiply to det(I - M) and
     their spectra make up that of M.  Only the representatives' rows are
     assembled.  When Y is empty the stack repeats X (stride 0 on the
     sector axis).  Any other twist or group ignores the flag.
@@ -504,7 +504,7 @@ def assemble(data: sk.SchottkyData, s: complex | np.ndarray, twist: TwistSpec,
     s may also be a 1-D array, placed in one pass (keep it within
     `_batch`): the result then has a leading axis over s and always a
     sector axis, (len(s), 2, n/2, n/2) for sectors and (len(s), 1, n, n)
-    for the whole matrix, which is what `fredholm_det` takes as a batch."""
+    for the whole matrix: `fredholm_det` gives a determinant per matrix."""
     letters = None if twist.kind == "trivial" else twist.letter_matrices(data.m)
     plan = _plan_for(data, lmax, sectors and letters is None)
     values = np.asarray(s, dtype=complex)
@@ -530,25 +530,19 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def fredholm_det(M: np.ndarray) -> complex | list[complex]:
+def fredholm_det(M: np.ndarray) -> complex | np.ndarray:
     """det(identity - truncated matrix); converges super-exponentially in
-    lmax to the Fredholm determinant.  For a stack of sector matrices
-    (`assemble` with sectors=True) it is the product of their
-    determinants; a stack that repeats one matrix (stride 0) takes one LU,
-    squared.  A batch from `assemble` at an array of s, shape (s, sectors,
-    h, h), gives the list of its determinants, with the LUs of the whole
-    batch in one stacked call."""
+    lmax to the Fredholm determinant.  A single matrix gives a complex.  A
+    stack, such as the sectors of `assemble` with sectors=True or a batch
+    over s, shape (s, sectors, h, h), gives the determinant of each matrix
+    as an array over its leading axes, in one stacked LU call; nothing is
+    multiplied here.  A sector axis that repeats one matrix (stride 0, the
+    cylinder's) is factored once and broadcast, read-only."""
     eye = _identity(M.shape[-1])
-    if M.ndim == 2:
-        return complex(np.linalg.det(eye - M))
-    batch = M if M.ndim == 4 else M[None]
-    if batch.strides[1] == 0:
-        dets = [complex(v) ** 2 for v in np.linalg.det(eye - batch[:, 0])]
-    elif batch.shape[1] == 1:
-        dets = [complex(v) for v in np.linalg.det(eye - batch[:, 0])]
-    else:
-        dets = [complex(np.prod(row)) for row in np.linalg.det(eye - batch)]
-    return dets if M.ndim == 4 else dets[0]
+    if M.ndim > 2 and M.strides[-3] == 0:
+        return np.broadcast_to(np.linalg.det(eye - M[..., :1, :, :]), M.shape[:-2])
+    dets = np.linalg.det(eye - M)
+    return complex(dets) if M.ndim == 2 else dets
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:

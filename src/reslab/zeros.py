@@ -4,11 +4,10 @@ the contour moments of those counts."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,25 +104,25 @@ def euler_product(data: sk.SchottkyData, s: complex, twist: TwistSpec,
 
 
 def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callable:
-    """Cached evaluator of s -> det(I - L_{rho,s}) at the given truncation.
-
-    The trivial twist of a group with the disc involution takes the product
-    of its two sector determinants (`transfer.assemble` with sectors=True).
-    Any other twist lifts the untwisted matrix at s by letter unitaries
-    built once per closure (`transfer._lift`).  A regular twist of G =
-    Z/N_1 x ... x Z/N_m splits into the characters theta = alpha/N, so its
-    determinant is the product of theirs: one untwisted matrix per s, then
-    one LU per character.
+    """Cached evaluator of s -> det(I - L_{rho,s}) at the given truncation,
+    kept as a row of factors: det.factors(s) is the row, a tuple, and
+    det(s) its product, multiplied left to right, which is the only place
+    factors are multiplied.  The trivial twist has one factor per sector
+    (`transfer.assemble` with sectors=True; one sector without the disc
+    involution).  Any other twist lifts the untwisted matrix at s by letter
+    unitaries built once per closure (`transfer._lift`), one LU and one
+    factor per character: a regular twist of Z/N_1 x ... x Z/N_m has the
+    characters theta = alpha/N, an abelian or matrix twist one.
 
     Its method many(points) fills the cache at every new point in engine
     passes of up to `transfer._batch` values of s (fewer by d^2 for a d x d
     matrix twist, whose lifted stack is then no larger); det(s) is
     many((s,)) on a cache miss.  Each value is the same in any batch."""
-    cache: dict[complex, complex] = {}
+    cache: dict[complex, tuple[complex, tuple[complex, ...]]] = {}
     if twist.kind == "trivial":
         step = transfer._batch(data, lmax, sectors=True)
 
-        def values(batch: np.ndarray) -> list[complex]:
+        def values(batch: np.ndarray) -> np.ndarray:
             return transfer.fredholm_det(
                 transfer.assemble(data, batch, twist, lmax, sectors=True))
     else:
@@ -136,82 +135,86 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
             characters = twist.letter_matrices(data.m)[None]
         step = max(1, transfer._batch(data, lmax, sectors=False) // characters.shape[-1] ** 2)
 
-        def values(batch: np.ndarray) -> list[complex]:
+        def values(batch: np.ndarray) -> np.ndarray:
             base = transfer.assemble(data, batch, TwistSpec.trivial(), lmax)
-            out = transfer.fredholm_det(transfer._lift(base, characters[0]))
-            for letters in characters[1:]:
-                dets = transfer.fredholm_det(transfer._lift(base, letters))
-                out = [v * w for v, w in zip(out, dets)]
-            return out
+            return np.concatenate([transfer.fredholm_det(transfer._lift(base, letters))
+                                   for letters in characters], axis=1)
 
     def many(points) -> None:
         todo = [s for s in dict.fromkeys(map(complex, points)) if s not in cache]
         for first in range(0, len(todo), step):
             batch = todo[first:first + step]
-            cache.update(zip(batch, values(np.array(batch))))
+            rows = map(tuple, values(np.array(batch)).tolist())
+            cache.update((s, (math.prod(row), row)) for s, row in zip(batch, rows))
 
     def det(s: complex) -> complex:
         s = complex(s)
         if s not in cache:
             many((s,))
-        return cache[s]
+        return cache[s][0]
+
+    def factors(s: complex) -> tuple[complex, ...]:
+        s = complex(s)
+        if s not in cache:
+            many((s,))
+        return cache[s][1]
 
     det.many = many
+    det.factors = factors
     return det
 
 
 def _winding(det: Callable, corners: Sequence[complex]):
-    """Winding number of det along the closed polygon through corners,
-    by adaptive phase accumulation with steps kept below pi/2.
+    """Winding number of det along the closed polygon through corners: the
+    sum of the integer windings of det's factors (det.factors(s); a plain
+    callable is one factor), each by phase accumulation.  A zero of one
+    factor turns only that factor's phase, so a segment is halved while
+    any factor's phase step along it is pi/2 or more.  Each edge starts
+    from a fixed base subdivision, since the pi/2 criterion alone cannot
+    see a full phase turn between two in-phase samples.  A det with a
+    many(points) method (every `make_det` closure) takes the base nodes of
+    all edges first in batched passes.  det(s) is asked once per point, in
+    the same order with or without many: the base nodes, edge by edge, then
+    the halvings of each flagged segment, depth first; a point closer to a
+    zero than CONTOUR_MIN_MODULUS raises ContourError.  The base steps are
+    one array operation over the (nodes, factors) rows.
 
-    Each edge starts from a fixed base subdivision: the pi/2 criterion alone
-    cannot see a full phase turn hiding between two in-phase samples.  The
-    base nodes of all edges are known before the first determinant, so a
-    det with a many(points) method (every `make_det` closure) takes them
-    first in batched passes; the walk then visits them in the same order
-    as a plain callable's, and a point closer to a zero than
-    CONTOUR_MIN_MODULUS raises ContourError at the same point.
-
-    Returns the winding number and, per edge, its base nodes, det there and
-    the phase of det unwrapped along the contour (0 at corners[0]).
+    Returns the winding number, the base nodes round the contour, det at
+    each, and each factor's phase after each base segment, unwrapped from
+    corners[0].
     """
-    vals = {}
+    factors = getattr(det, "factors", None)
 
-    def f(s):
-        if s not in vals:
-            v = det(s)
-            if abs(v) < CONTOUR_MIN_MODULUS:
-                raise ContourError(s, abs(v))
-            vals[s] = v
-        return vals[s]
-
-    def seg_phase(a: complex, b: complex, fa: complex, fb: complex,
-                  depth: int) -> float:
-        d = cmath.phase(fb / fa)
-        if abs(d) < math.pi / 2:
+    def seg_phase(a: complex, b: complex, ra, rb, depth: int):
+        d = np.angle(np.divide(rb, ra))
+        if np.all(np.abs(d) < math.pi / 2):
             return d
-        if depth >= MAX_DEPTH:
-            raise ContourError((a + b) / 2, abs(fa))
         mid = (a + b) / 2
-        fm = f(mid)
-        return seg_phase(a, mid, fa, fm, depth + 1) + seg_phase(mid, b, fm, fb, depth + 1)
+        if depth >= MAX_DEPTH:
+            raise ContourError(mid, abs(np.prod(ra)))
+        v = det(mid)
+        if abs(v) < CONTOUR_MIN_MODULUS:
+            raise ContourError(mid, abs(v))
+        rm = v if factors is None else factors(mid)
+        return seg_phase(a, mid, ra, rm, depth + 1) + seg_phase(mid, b, rm, rb, depth + 1)
 
-    pts = list(corners) + [corners[0]]
-    edges = [[a + (b - a) * t / BASE_SEGMENTS for t in range(BASE_SEGMENTS + 1)]
-             for a, b in zip(pts[:-1], pts[1:])]
+    ring = [a + (b - a) * t / BASE_SEGMENTS for a, b in zip(corners, [*corners[1:], corners[0]])
+            for t in range(BASE_SEGMENTS)]
     if hasattr(det, "many"):
-        det.many([s for nodes in edges for s in nodes])
-    total = 0.0
-    values, phases = [], []
-    for nodes in edges:
-        fs = [f(s) for s in nodes]
-        unwrapped = [total]
-        for (p, q, fp, fq) in zip(nodes[:-1], nodes[1:], fs[:-1], fs[1:]):
-            total += seg_phase(p, q, fp, fq, 0)
-            unwrapped.append(total)
-        values.append(fs)
-        phases.append(unwrapped)
-    return int(round(total / (2 * math.pi))), edges, values, phases
+        det.many(ring)
+    values = np.fromiter(map(det, ring), complex, len(ring))
+    small = np.flatnonzero(np.abs(values) < CONTOUR_MIN_MODULUS)
+    if len(small):
+        raise ContourError(ring[small[0]], abs(values[small[0]]))
+    ring.append(ring[0])
+    rows = (np.append(values, values[0])[:, None] if factors is None else
+            np.fromiter(chain.from_iterable(map(factors, ring)), complex).reshape(len(ring), -1))
+    steps = np.angle(rows[1:] / rows[:-1])
+    flagged = np.abs(steps) >= math.pi / 2
+    for k in np.flatnonzero(flagged.any(axis=1)) if flagged.any() else ():
+        steps[k] = seg_phase(ring[k], ring[k + 1], rows[k], rows[k + 1], 0)
+    turned = np.cumsum(steps, axis=0)  # each factor's phase, unwrapped from corners[0]
+    return sum(round(w / (2 * math.pi)) for w in turned[-1].tolist()), ring, values, turned
 
 
 # composite Simpson weights on the base nodes of an edge of unit length
@@ -227,9 +230,11 @@ def _moments(walk, origin: complex, scale: float, kmax: int) -> np.ndarray:
     corner and Log det = log|det| + i times the walk's unwrapped phase, so
     only the walk's base-node values are used: each edge by composite
     Simpson on its base nodes."""
-    count, edges, values, phases = walk
-    w = (np.array(edges) - origin) / scale
-    logf = np.log(np.abs(values)) + 1j * np.array(phases)
+    count, nodes, values, turned = walk
+    edges = np.add.outer(np.arange(0, len(values), BASE_SEGMENTS), np.arange(BASE_SEGMENTS + 1))
+    w = (np.array(nodes)[edges] - origin) / scale
+    phases = np.append(0.0, turned.sum(axis=1))
+    logf = (np.log(np.abs(np.append(values, values[0]))) + 1j * phases)[edges]
     k = np.arange(1, kmax + 1)
     powers = w[..., None] ** (k - 1)
     integrals = np.einsum("e,t,etk,et->k", w[:, -1] - w[:, 0], _SIMPSON, powers, logf)

@@ -100,7 +100,7 @@ def newton_refine(det, s0, mult=1):
 def counting(det):
     """det, and a list of the points it is asked for, in order.  The
     wrapper is made by functools.wraps, so it keeps det.many, whose batched
-    points are not listed."""
+    points are not listed, and det.factors, whose lookups are not."""
     calls = []
 
     @functools.wraps(det)
@@ -113,19 +113,22 @@ def counting(det):
 
 def winding_points(det, corners, base=16):
     """The points a winding count of det along the polygon through corners
-    asks for, in order: each edge's base+1 equally spaced nodes in turn,
-    and between two neighbours whose det values differ in phase by pi/2 or
+    asks for, in order: every edge's base+1 equally spaced nodes in turn,
+    the last of them the next corner itself,
+    then, edge by edge, between two neighbours at which any factor of det
+    (det.factors(s), or det(s) as one factor) differs in phase by pi/2 or
     more, the midpoint, then the same for each half, the first half first.
     A point met again is not asked for again."""
+    factors = getattr(det, "factors", lambda s: (det(s),))
     values = {}
 
     def value(s):
         if s not in values:
-            values[s] = det(s)
+            values[s] = factors(s)
         return values[s]
 
     def halve(a, b, fa, fb):
-        if abs(cmath.phase(fb / fa)) < math.pi / 2:
+        if all(abs(cmath.phase(q / p)) < math.pi / 2 for p, q in zip(fa, fb)):
             return
         mid = (a + b) / 2
         fm = value(mid)
@@ -133,11 +136,14 @@ def winding_points(det, corners, base=16):
         halve(mid, b, fm, fb)
 
     closed = list(corners) + [corners[0]]
-    for a, b in zip(closed[:-1], closed[1:]):
-        nodes = [a + (b - a) * t / base for t in range(base + 1)]
-        fs = [value(s) for s in nodes]
-        for p, q, fp, fq in zip(nodes[:-1], nodes[1:], fs[:-1], fs[1:]):
-            halve(p, q, fp, fq)
+    edges = [[a + (b - a) * t / base for t in range(base)] + [b]
+             for a, b in zip(closed[:-1], closed[1:])]
+    for nodes in edges:
+        for s in nodes:
+            value(s)
+    for nodes in edges:
+        for p, q in zip(nodes[:-1], nodes[1:]):
+            halve(p, q, values[p], values[q])
     return list(values)
 
 

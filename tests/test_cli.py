@@ -311,6 +311,16 @@ def test_resonances_off_centre_box_exits_0(tmp_path, capsys):
     _cylinder_lattice_run("-0.2592,0.1713,1.2746,4.9494", (1,), tmp_path)
 
 
+def test_resonances_next_to_the_double_zero_at_0(tmp_path, capsys):
+    """The left edge passes 0.0123 from the double zero at s = 0: a walk
+    that halved on the phase of the product, not of its factors, counted
+    one zero here and reported s = 0 as simple with exit 0."""
+    _cylinder_lattice_run("-0.0123,0.4224,-2.318,1.2657", (0,), tmp_path)
+    (row,) = (tmp_path / "resonances.csv").read_text().splitlines()[1:]
+    re, im, _, _ = map(float, row.split(","))
+    assert abs(complex(re, im)) < 1e-7
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "delta", "preset": "cylinder"}))

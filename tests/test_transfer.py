@@ -132,7 +132,8 @@ def test_a_batch_of_s_is_the_scalar_matrices_bit_for_bit():
     """`assemble` at an array of s gives, row by row, exactly the matrices
     of one s at a time, whole and split, trivial and twisted, with the
     batch axis first and a sector axis always present; `fredholm_det` of
-    an untwisted batch is the list of the scalar determinants.  Twists of dimension
+    an untwisted batch is the (s, sectors) array of the scalar matrices'
+    determinants.  Twists of dimension
     above 1 are checked at lmax 8, where their matrices stay small.  The
     sl2z-pair variant with discs of two radii takes the stacked tables."""
     rng = np.random.default_rng(8)
@@ -153,8 +154,10 @@ def test_a_batch_of_s_is_the_scalar_matrices_bit_for_bit():
                     assert np.array_equal(got if want.ndim == 3 else got[0], want), (
                         name, lmax, twist.kind, sectors)
                 if twist.kind == "trivial":
-                    assert transfer.fredholm_det(batch) == [transfer.fredholm_det(M)
-                                                            for M in alone]
+                    dets = transfer.fredholm_det(batch)
+                    want = np.reshape([transfer.fredholm_det(M) for M in alone], (len(s), -1))
+                    assert dets.shape == batch.shape[:2]
+                    assert np.array_equal(dets, want), (name, lmax)
 
 
 def test_discs_of_two_radii_keep_their_own_tables():
@@ -486,9 +489,10 @@ def test_disc_involution_of_the_presets():
 
 
 def test_sector_determinant_matches_the_full_matrix():
-    """The product of the two sector determinants is det(I - M) of the full
-    matrix to 1e-12 relative, at 20 random s per group and lmax; the
-    sectors are half the size of M."""
+    """`fredholm_det` of the sector stack gives the two sector
+    determinants, and their product is det(I - M) of the full matrix to
+    1e-12 relative, at 20 random s per group and lmax; the sectors are
+    half the size of M."""
     rng = np.random.default_rng(12)
     for name in _SPLIT:
         data = sk.preset(name)
@@ -499,7 +503,9 @@ def test_sector_determinant_matches_the_full_matrix():
                 stack = transfer.assemble(data, s, TwistSpec.trivial(), lmax, sectors=True)
                 assert stack.shape == (2, n // 2, n // 2)
                 full = oracles.fredholm_det(transfer.assemble(data, s, TwistSpec.trivial(), lmax))
-                assert abs(transfer.fredholm_det(stack) - full) <= 1e-12 * abs(full), (name, lmax, s)
+                dets = transfer.fredholm_det(stack)
+                assert dets.shape == (2,)
+                assert abs(math.prod(dets.tolist()) - full) <= 1e-12 * abs(full), (name, lmax, s)
 
 
 def _moved_cylinder():
@@ -538,19 +544,24 @@ def test_group_file_with_the_involution_gets_the_split(sym3):
     stack = transfer.assemble(copy, s, TwistSpec.trivial(), 16, sectors=True)
     assert stack.shape == (2, 34, 34)
     full = oracles.fredholm_det(transfer.assemble(copy, s, TwistSpec.trivial(), 16))
-    assert abs(transfer.fredholm_det(stack) - full) <= 1e-12 * abs(full)
+    dets = transfer.fredholm_det(stack)
+    assert dets.shape == (2,)
+    assert abs(math.prod(dets.tolist()) - full) <= 1e-12 * abs(full)
 
 
 def test_cylinder_sectors_are_one_matrix_squared(cyl):
     """No pair of the cylinder crosses sectors, so M+ = M-: the stack
-    repeats one matrix, and its determinant is that matrix's squared."""
+    repeats one matrix, `fredholm_det` gives that matrix's determinant for
+    each sector, and their product is its square."""
     for lmax in (8, 16, 32):
         stack = transfer.assemble(cyl, complex(0.2, 3.0), TwistSpec.trivial(), lmax,
                                   sectors=True)
         assert np.array_equal(stack[0], stack[1])
         assert stack.strides[0] == 0
         half = oracles.fredholm_det(stack[0])
-        assert transfer.fredholm_det(stack) == half * half
+        dets = transfer.fredholm_det(stack)
+        assert dets.tolist() == [half, half]
+        assert math.prod(dets.tolist()) == half * half
 
 
 def test_sector_spectral_radius_matches_the_full_one():
