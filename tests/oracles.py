@@ -74,7 +74,7 @@ def source_unitaries(data, twist):
     return [mats[(j + data.m) % (2 * data.m)] for j in range(2 * data.m)]
 
 
-def newton_refine(det, s0, mult=1):
+def newton_refine(det, s0):
     """Newton iteration on det with central finite differences (step 1e-6),
     three determinants per step for at most 50 steps, with refine_zero's
     step cap and stopping rule. Returns (s, |det(s)|, converged)."""
@@ -86,7 +86,7 @@ def newton_refine(det, s0, mult=1):
         dv = (det(s + h) - det(s - h)) / (2 * h)
         if dv == 0:
             break
-        step = max(1, mult) * v / dv
+        step = v / dv
         if abs(step) > 1.0:
             step *= 1.0 / abs(step)
         s = s - step
@@ -111,14 +111,19 @@ def counting(det):
     return counted, calls
 
 
-def winding_points(det, corners, base=16):
+def winding_points(det, corners, first=16):
     """The points a winding count of det along the polygon through corners
-    asks for, in order: every edge's base+1 equally spaced nodes in turn,
-    the last of them the next corner itself,
-    then, edge by edge, between two neighbours at which any factor of det
-    (det.factors(s), or det(s) as one factor) differs in phase by pi/2 or
-    more, the midpoint, then the same for each half, the first half first.
-    A point met again is not asked for again."""
+    asks for, in order.  Each edge is sampled at the nested
+    Chebyshev-Lobatto points sin(pi (2j - n) / 2n), j = 0..n, mapped onto
+    it with its corners exact: n = first, then twice as many at each level,
+    edge by edge for the edges still open, a point met again not asked for
+    again.  An edge closes once, for every factor f of det (det.factors(s),
+    or det(s) as one factor), the sum of the last max(4, n/8) Chebyshev
+    coefficients of its interpolant p_f, here the cosine sums of the
+    definition, is below a quarter of min|p_f| on 64n + 1 equally spaced
+    points."""
+    from numpy.polynomial import chebyshev
+
     factors = getattr(det, "factors", lambda s: (det(s),))
     values = {}
 
@@ -127,23 +132,23 @@ def winding_points(det, corners, base=16):
             values[s] = factors(s)
         return values[s]
 
-    def halve(a, b, fa, fb):
-        if all(abs(cmath.phase(q / p)) < math.pi / 2 for p, q in zip(fa, fb)):
-            return
-        mid = (a + b) / 2
-        fm = value(mid)
-        halve(a, mid, fa, fm)
-        halve(mid, b, fm, fb)
-
     closed = list(corners) + [corners[0]]
-    edges = [[a + (b - a) * t / base for t in range(base)] + [b]
-             for a, b in zip(closed[:-1], closed[1:])]
-    for nodes in edges:
-        for s in nodes:
-            value(s)
-    for nodes in edges:
-        for p, q in zip(nodes[:-1], nodes[1:]):
-            halve(p, q, values[p], values[q])
+    todo, n = list(zip(closed[:-1], closed[1:])), first
+    while todo:
+        x = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+        sampled = [[value(s) for s in [a, *[(a + b) / 2 + (b - a) / 2 * float(t)
+                                           for t in x[1:-1]], b]] for a, b in todo]
+        halves = np.full(n + 1, 1.0)
+        halves[[0, n]] = 0.5
+        dense = chebyshev.chebvander(np.linspace(-1.0, 1.0, 64 * n + 1), n)
+        still = []
+        for (a, b), f in zip(todo, sampled):
+            coef = (2.0 / n) * chebyshev.chebvander(x, n).T @ (halves[:, None] * np.array(f))
+            coef[[0, n]] /= 2
+            tail = np.abs(coef[-max(4, n // 8):]).sum(axis=0)
+            if np.any(4 * tail >= np.abs(dense @ coef).min(axis=0)):
+                still.append((a, b))
+        todo, n = still, 2 * n
     return list(values)
 
 

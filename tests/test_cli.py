@@ -321,6 +321,21 @@ def test_resonances_next_to_the_double_zero_at_0(tmp_path, capsys):
     assert abs(complex(re, im)) < 1e-7
 
 
+def test_resonances_on_an_ordinary_symmetric3_box(tmp_path, capsys):
+    """This ordinary symmetric3 box holds 15 zeros: the fixed base
+    subdivision counted 11, and a split cell read a negative count (exit
+    3).  The interpolant walk finds all 15, the double zero at 0 among
+    them, each with a residual below 1e-10."""
+    code = run(["resonances", "--preset", "symmetric3",
+                "--rect", "-0.5,0.4,-3,3", "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "resonances.json").read_text())
+    assert doc["total_multiplicity"] == doc["contour_count"] == 15
+    rows = [ln.split(",") for ln in (tmp_path / "resonances.csv").read_text().splitlines()[1:]]
+    assert sorted(int(r[2]) for r in rows) == [1] * 13 + [2]
+    assert all(float(r[3]) < 1e-10 for r in rows)
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "delta", "preset": "cylinder"}))
@@ -565,19 +580,13 @@ def _contour_through_a_zero(data, twist, rect, lmax):
     raise zeros.ContourError(complex(0.25, 0.02), 1e-15)
 
 
-def _one_unresolved_cell(data, twist, rect, lmax):
-    return zeros.ResonanceSet(rectangle=tuple(rect), zeros=((complex(0.25, 0.0), 1),),
-                              contour_count=1, residuals=(0.0,), unresolved=(tuple(rect),))
-
-
 @pytest.mark.parametrize("fake, message", [
     (_contour_through_a_zero, "contour too close to zero"),
-    (_one_unresolved_cell, "unresolved cells"),
-], ids=["contour_error", "unresolved"])
+], ids=["contour_error"])
 def test_cover_abelian_contour_failure_is_nonconvergence(fake, message, tmp_path, capsys,
                                                          monkeypatch):
-    """A contour through a zero or a cell left unrefined ends in exit 3, as
-    under resonances, and no unrefined cell centre is written as a zero."""
+    """A contour through a zero ends in exit 3, as under resonances, and
+    no zero is written."""
     monkeypatch.setattr(zeros, "resonances", fake)
     assert run(["cover-abelian", "--preset", "symmetric3",
                 "--rect", "0.2,0.3,-0.02,0.02", "--moduli", "2,1",
