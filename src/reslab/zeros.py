@@ -23,9 +23,10 @@ EULER_MARGIN = 0.1
 CONTOUR_MIN_MODULUS = 1e-6
 NEWTON_TOL = 1e-10
 REFINE_MAX_DETS = 150
-# Chebyshev-Lobatto nodes per edge, first and last level; Gauss-Legendre
-# nodes per panel of the moments
-FIRST_NODES, MAX_NODES, PANEL_NODES = 16, 1024, 6
+# Chebyshev-Lobatto nodes per edge at the first level and the last (the
+# levels double: 8, 16, ..., 1,024); Gauss-Legendre nodes per panel of the
+# moments
+FIRST_NODES, MAX_NODES, PANEL_NODES = 8, 1024, 6
 # resonances: the least half-side of the box placing a multiple zero and the
 # smallest box split; the margin round the rectangle; where a box is split
 MIN_CELL, PAD, SPLIT = 1e-3, 1e-3, 0.45
@@ -214,11 +215,11 @@ def _walk(coef: np.ndarray, xs: np.ndarray, ps: np.ndarray, dps: np.ndarray):
 def _edges(det: Callable, segments: Sequence[tuple[complex, complex]]) -> list[_Edge]:
     """An `_Edge` of det's factors (rows from det.many, else det.factors; a
     plain callable is one) on each segment, each starting where the one
-    before ends, from nested Chebyshev-Lobatto points (FIRST_NODES + 1,
-    ends exact, then twice as many per level; one det.many call per level,
-    then det(s) once per point).  A segment is done once the sum of the
-    last max(4, n/8) of every p_f's n + 1 coefficients is below a quarter
-    of min|p_f| on the walk of p.  |det| < CONTOUR_MIN_MODULUS, p passing
+    before ends, from nested Chebyshev-Lobatto points (n + 1, ends exact,
+    n = FIRST_NODES doubled per level up to MAX_NODES; one det.many call
+    per level, then det(s) once per point).  A segment is done once the
+    sum of the last max(4, n/8) of every p_f's n + 1 coefficients is below
+    a quarter of min|p_f| on the walk of p.  |det| < CONTOUR_MIN_MODULUS, p passing
     that and as close to 0, or a segment open at MAX_NODES: ContourError."""
     mid, half = [(a + b) / 2 for a, b in segments], [(b - a) / 2 for a, b in segments]
     n, todo, values, done = FIRST_NODES, list(range(len(segments))), None, [None] * len(segments)
@@ -363,8 +364,9 @@ def count_zeros(data: sk.SchottkyData, twist: TwistSpec, rectangle,
                 lmax: int = 16, det: Optional[Callable] = None) -> int:
     """Number of zeros (with multiplicity) of det(I - L_{rho,s}) inside the
     rectangle (re_min, re_max, im_min, im_max), by the argument principle
-    on the interpolants of its sides: the interpolant's coefficient tail is
-    below ¼ of min|p| on every edge (`_edges`)."""
+    on the interpolants of its sides, from FIRST_NODES nodes an edge,
+    doubled until the interpolant's coefficient tail is below ¼ of min|p|
+    on every edge (`_edges`)."""
     return _winding(_walked(_sides(det or make_det(data, twist, lmax), rectangle)))
 
 
@@ -392,17 +394,17 @@ def refine_zero(data: sk.SchottkyData, twist: TwistSpec, s0: complex,
 def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
                lmax: int = 16, det: Optional[Callable] = None) -> ResonanceSet:
     """The zeros of det(I - L_{rho,s}) in the rectangle (padded by PAD: the
-    cylinder lattice starts on Im(s) = 0), with multiplicities, by real and
-    then imaginary part, on one path: a box's count N and moments
-    s_0..s_{2N-1} come from its sides' interpolants, a rank-revealing Hankel
-    step gives its distinct zeros (`_located`), a simple zero is polished by
-    `refine_zero`, a multiple one placed by that step on a box round its
-    estimate (of half-side MIN_CELL, or the estimate's error if more, under
-    half the gap to the next), which must find it alone.  A box failing a
-    check is split at SPLIT across its longer side, off the centre so as not
-    to cut along real zeros; the split line is one more edge, the halves'
-    counts must add up, and below MIN_CELL it raises ContourError.
-    `unresolved` is always empty."""
+    cylinder lattice starts on Im(s) = 0), with multiplicities, by real part
+    rounded to 1e-9 and then imaginary part, on one path: a box's count N
+    and moments s_0..s_{2N-1} come from its sides' interpolants, a
+    rank-revealing Hankel step gives its distinct zeros (`_located`), a
+    simple zero is polished by `refine_zero`, a multiple one placed by that
+    step on a box round its estimate (of half-side MIN_CELL, or the
+    estimate's error if more, under half the gap to the next), which must
+    find it alone.  A box failing a check is split at SPLIT across its
+    longer side, off the centre so as not to cut along real zeros; the
+    split line is one more edge, the halves' counts must add up, and below
+    MIN_CELL it raises ContourError.  `unresolved` is always empty."""
     det = det or make_det(data, twist, lmax)
     found: list[tuple[complex, int, float]] = []
 
@@ -464,6 +466,8 @@ def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
     x0, x1, y0, y1 = (float(v) for v in rectangle)
     total = solve((x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD),
                   _sides(det, (x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD)))
-    found.sort(key=lambda f: (f[0].real, f[0].imag))
+    # real parts on one vertical line differ by rounding noise: sort on them
+    # to the secant's step tolerance
+    found.sort(key=lambda f: (round(f[0].real, 9), f[0].imag))
     return ResonanceSet(rectangle=(x0, x1, y0, y1), zeros=tuple((s, m) for s, m, _ in found),
                         contour_count=total, residuals=tuple(r for _, _, r in found))

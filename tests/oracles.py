@@ -111,17 +111,17 @@ def counting(det):
     return counted, calls
 
 
-def winding_points(det, corners, first=16):
+def winding_points(det, corners, first=None):
     """The points a winding count of det along the polygon through corners
     asks for, in order.  Each edge is sampled at the nested
     Chebyshev-Lobatto points sin(pi (2j - n) / 2n), j = 0..n, mapped onto
-    it with its corners exact: n = first, then twice as many at each level,
-    edge by edge for the edges still open, a point met again not asked for
-    again.  An edge closes once, for every factor f of det (det.factors(s),
-    or det(s) as one factor), the sum of the last max(4, n/8) Chebyshev
-    coefficients of its interpolant p_f, here the cosine sums of the
-    definition, is below a quarter of min|p_f| on 64n + 1 equally spaced
-    points."""
+    it with its corners exact: n = first (zeros.FIRST_NODES unless given),
+    then twice as many at each level, edge by edge for the edges still
+    open, a point met again not asked for again.  An edge closes once, for
+    every factor f of det (det.factors(s), or det(s) as one factor), the
+    sum of the last max(4, n/8) Chebyshev coefficients of its interpolant
+    p_f, here the cosine sums of the definition, is below a quarter of
+    min|p_f| on 64n + 1 equally spaced points."""
     from numpy.polynomial import chebyshev
 
     factors = getattr(det, "factors", lambda s: (det(s),))
@@ -133,7 +133,7 @@ def winding_points(det, corners, first=16):
         return values[s]
 
     closed = list(corners) + [corners[0]]
-    todo, n = list(zip(closed[:-1], closed[1:])), first
+    todo, n = list(zip(closed[:-1], closed[1:])), first or zeros.FIRST_NODES
     while todo:
         x = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
         sampled = [[value(s) for s in [a, *[(a + b) / 2 + (b - a) / 2 * float(t)
