@@ -4,19 +4,22 @@ basis, with Fredholm determinants, trace diagnostics and singular values.
 The operator acts on tuples of holomorphic functions, one per disc.  For z
 in disc i it sums (gamma_a'(z))^s rho(gamma_a) F(gamma_a z) over the letters
 a != i; the letter a carries functions on disc inv(a) to functions on disc i.
-Matrix coefficients are extracted by sampling on a circle inside the target
-disc and taking a discrete Fourier transform, which is spectrally accurate
-because every summand is holomorphic on a strictly larger disc.  Everything
-in a block that does not depend on s (sample points, log gamma', basis values
-at the images, scales) is built once per (group, lmax) and cached.
+Every matrix coefficient is a Taylor coefficient at a target disc centre,
+taken from two power series in closed form: that of gamma'^s = exp(s L0)
+(1 + q zeta)^(-2s), which depends on s, and those of the powers of the
+Moebius image of the source basis, which do not (`_pair_series`).  So a
+block is diag(target scales) T(e(s)) U diag(source scales), T(e) the
+lower-triangular Toeplitz matrix of gamma'^s's coefficients, and U, L0 and
+the scales are built once per (group, lmax) and cached.
 
-`assemble` builds the untwisted matrix in one engine: `_plan` caches the
-samples of every (target, source) pair once per (group, lmax), and
-`_place` turns them into blocks at a 1-D array of s with one exponential
-over (s, pairs, samples), one product with the basis and one matrix
-product with the folded truncated DFT per run of target discs
-(`_run_taylor`), computed in this thread's work buffers and written
-straight into a (s, sectors, h, h) stack.  A scalar s is a batch of one;
+`assemble` builds the untwisted matrix in one engine: `_plan` caches those
+series of every (target, source) pair once per (group, lmax), and `_place`
+turns them into blocks at a 1-D array of s: per run of target discs
+(`_run_taylor`), one exponential and one cumulative product of ratios over
+(pairs, s) give the coefficients, one strided read gives their Toeplitz
+matrices, and one real matrix product per (s, pair) applies U, computed in
+this thread's work buffers and written straight into a (s, sectors, h, h)
+stack.  A scalar s is a batch of one;
 `_batch` says how many s fit in one pass, and `fredholm_det` takes the
 determinants of a whole batch in one stacked LU call.  Every other twist
 is that matrix lifted by `_lift`, which places the unitary of each source
@@ -62,10 +65,9 @@ __all__ = [
     "spectral_radius",
 ]
 
-_SAMPLE_FRACTION = 0.75
-# Upper bound on the samples of one exponential and DFT run, in bytes, over
-# every s of a batch; a run always holds at least one target disc and a
-# batch at least one s.
+# Upper bound on the Toeplitz factors of one run, nb^2 entries per pair and
+# s, in bytes, over every s of a batch; a run always holds at least one
+# target disc and a batch at least one s.
 _RUN_BYTES = 256 * 1024
 
 # Relative tolerance of the geometric symmetry test in `_disc_involution`.
@@ -153,73 +155,77 @@ def _character_letters(theta: np.ndarray) -> np.ndarray:
     return np.concatenate((e, e.conj()), axis=-1)[..., None, None]
 
 
-def _roots_of_unity(K: int) -> np.ndarray:
-    """exp(2 pi i k / K) for k < K, K a multiple of 4.  Every entry is the
-    cosine and sine of an angle in [0, pi/4], moved by the symmetries of the
-    square, so no large angle is rounded before its cosine is taken."""
-    q = K // 4
-    j = np.arange(q)
-    a = 2 * np.pi * np.minimum(j, q - j) / K
-    near = 2 * j <= q
-    c, s = np.cos(a), np.sin(a)
-    quarter = np.where(near, c, s) + 1j * np.where(near, s, c)
-    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+def _pair_series(data: sk.SchottkyData, lmax: int, targets: Sequence[int]):
+    """The s-independent parts of the Taylor blocks of every admissible
+    (target, source) pair of the given target discs, in target-major order
+    (2m-1 pairs per target), and the pairs.
 
+    For target disc i, source disc j and the generator g = [[a, b], [c, d]]
+    of the connecting letter inv(j), write zeta = (z - c_i)/r_i, D = c c_i
+    + d and q = c r_i / D.  Then gamma'(z)^s = exp(s L0) (1 + q zeta)^(-2s)
+    with L0 = -2 log|D|, whose Taylor coefficients are e_0 = exp(s L0) and
+    e_n = e_(n-1) (2s + n - 1) (-q/n), and u = (g(z) - c_j)/r_j has u_0 =
+    (A0 - c_j)/r_j and u_n = (-q)^(n-1) (A1 - q A0)/r_j for n >= 1, with A0
+    = (a c_i + b)/D and A1 = a r_i / D.  Block (i, j) is diag(sqrt(pi/(l'+1))
+    r_i) T(e) U diag(sqrt((l+1)/pi)/r_j), T(e) the lower-triangular Toeplitz
+    matrix of e and U[:, l] the coefficients of u^l.
 
-@functools.lru_cache(maxsize=64)
-def _folded_dft(radius: float, lmax: int) -> np.ndarray:
-    """The folded truncated DFT of a target disc of this radius, shape
-    (K, lmax+1) with K = 4(lmax+1), read-only: it takes samples on the
-    circle of radius rho = 0.75 radius about the disc centre to output
-    coefficients in one matrix product.  With circle[k] = exp(2 pi i k / K),
-    entry [k, l] is conj(circle)[(k l) mod K] * sqrt(pi/(l+1)) radius^(l+1)
-    / (K rho^l): the twiddle of DFT output l, the 1/K of the DFT, the Taylor
-    coefficient's radius rho^-l and the output scale in one factor.  The
-    twiddles are indexed by the exact residue (k l) mod K, so no large angle
-    enters an exponential.  Discs of one radius share one table."""
-    nb = lmax + 1
-    K = 4 * nb
-    ell = np.arange(nb)
-    rho = _SAMPLE_FRACTION * radius
-    twiddle = _roots_of_unity(K).conj()[np.outer(np.arange(K), ell) % K]
-    scale = np.sqrt(np.pi / (ell + 1)) * radius ** (ell + 1)
-    table = twiddle * (scale / (K * rho ** ell))
-    table.setflags(write=False)
-    return table
+    Returns, per pair and shaped for `_run_taylor`: L0, (pairs, 1), in long
+    double; the ratio e_n / e_(n-1) = s rate_n + offset_n as rate_n = -2q/n
+    and offset_n = -q (n-1)/n for n = 1..lmax, (pairs, 1, lmax) each; the
+    target scales sqrt(pi/(l'+1)) r_i, (pairs, 1, nb); the source side (U
+    diag(..))^T by (source degree, series degree), real, (pairs, nb, nb);
+    and the pairs.  The scalars, the scales and the coefficients of u are
+    computed in long double and rounded once (u_0 = (A0 - c_j)/r_j cancels
+    when g(c_i) lies near c_j); the powers of u are taken in double.
 
-
-def _pair_samples(data: sk.SchottkyData, lmax: int, targets: Sequence[int]):
-    """The samples of every admissible (target, source) pair of the given
-    target discs, in target-major order (2m-1 pairs per target): log
-    gamma'(z) at the K = 4(lmax+1) sample points z on the circle of radius
-    rho_i = 0.75 r_i about the target centre, shape (pairs, K); the
-    source-disc basis functions at the images gamma(z), shape (pairs,
-    lmax+1, K); and the pairs.  gamma is the generator of the connecting
-    letter inv(source)."""
+    Both series converge on the target disc when |q| < 1, that is when the
+    pole of g lies outside its closure; then exp(s L0) (1 + q zeta)^(-2s)
+    is the principal power of gamma'.  Otherwise raises ValueError."""
     m = data.m
     nd = 2 * m
     nb = lmax + 1
-    K = 4 * nb
     pairs = [(i, j) for i in targets for j in range(nd) if (j + m) % nd != i]
-    logd = np.empty((len(pairs), K), dtype=complex)
-    basis = np.empty((len(pairs), nb, K), dtype=complex)
-    ell = np.arange(nb)
-    circle = _roots_of_unity(K)
+    wide = np.longdouble
+    n = np.arange(1, nb, dtype=wide)
+    ell = np.arange(nb, dtype=wide)
+    lag = np.subtract.outer(np.arange(nb), np.arange(nb))
+    logd = np.empty((len(pairs), 1), dtype=wide)
+    rate = np.empty((len(pairs), 1, lmax), dtype=complex)
+    offset = np.empty((len(pairs), 1, lmax), dtype=complex)
+    scale = np.empty((len(pairs), 1, nb), dtype=complex)
+    u = np.empty((len(pairs), nb))
+    weight = np.empty((len(pairs), nb, 1))
     for k, (i, j) in enumerate(pairs):
-        tgt = data.discs[i]
-        z = tgt.center + _SAMPLE_FRACTION * tgt.radius * circle
-        g = data.gen((j + m) % nd + 1)
-        src = data.discs[j]
-        den = g.c * z + g.d
-        dv = 1.0 / den ** 2
-        if np.any((dv.real <= 0) & (np.abs(dv.imag) < 1e-300)):
-            raise ValueError("sampled derivative on the branch cut")
-        w = (g.a * z + g.b) / den
-        u = (w - src.center) / src.radius
-        logd[k] = np.log(dv)
-        basis[k] = ((np.sqrt((ell[:, None] + 1) / np.pi) / src.radius)
-                    * u[None, :] ** ell[:, None])
-    return logd, basis, pairs
+        tgt, src = data.discs[i], data.discs[j]
+        letter = (j + m) % nd + 1
+        g = data.gen(letter)
+        a, b, c, d, ci, ri, cj, rj = (wide(v) for v in (g.a, g.b, g.c, g.d, tgt.center,
+                                                         tgt.radius, src.center, src.radius))
+        D = c * ci + d
+        if abs(c * ri) >= abs(D):
+            raise ValueError(f"the pole of letter {letter} lies in the closed target disc"
+                             f" {i}: the Taylor series of pair ({i}, {j}) diverges")
+        q = c * ri / D
+        a0 = (a * ci + b) / D
+        logd[k] = -2 * np.log(abs(D))
+        rate[k] = -2 * q / n
+        offset[k] = -q * (n - 1) / n
+        scale[k] = np.sqrt(np.pi / (ell + 1)) * ri
+        u[k, 0] = (a0 - cj) / rj
+        u[k, 1:] = (-q) ** (n - 1) * ((a * ri / D - q * a0) / rj)
+        weight[k, :, 0] = np.sqrt((ell + 1) / np.pi) / rj
+    # row l of a pair's source side: the coefficients of u^l, each power
+    # the last one times the lower-triangular Toeplitz matrix of u
+    shift = np.where(lag >= 0, np.take(u, np.maximum(lag, 0), axis=1), 0.0)
+    basis = np.empty((len(pairs), nb, nb))
+    power = np.zeros((len(pairs), nb, 1))
+    power[:, 0] = 1.0
+    for l in range(nb):
+        basis[:, l] = power[:, :, 0]
+        power = shift @ power
+    basis *= weight
+    return logd, rate, offset, scale, basis, pairs
 
 
 @functools.lru_cache(maxsize=32)
@@ -273,17 +279,14 @@ def _plan(data: sk.SchottkyData, lmax: int, split: bool):
     and c; so det(I - M) = det(I - M+) det(I - M-).  Without split, sigma
     is the identity: every disc is a representative, X = M and Y is empty.
 
-    Only the representatives' target rows are sampled (`_pair_samples`).
-    A pair (i, j) whose source j is not a representative belongs to Y, in
-    column sigma(j); its basis rows are scaled by (-1)^l here, so that its
+    Only the representatives' target rows are built (`_pair_series`).  A
+    pair (i, j) whose source j is not a representative belongs to Y, in
+    column sigma(j); its source side is scaled by (-1)^l here, so that its
     block already carries D.  The runs are consecutive representatives
-    whose samples fit in _RUN_BYTES, at least one each; a run's folded DFTs
-    are the one table its targets share with a leading axis of 1, so that
-    the run is a single product, or the read-only stack of one table per
-    target.  Returns (logd, basis, runs, reps, crossed, split): the samples
-    of these pairs; the runs, each as (pair rows, target and source column
-    of each pair, 0 or 1 for X or Y, folded DFTs); the number of
-    representatives; whether Y has any block; and split."""
+    whose work arrays fit in _RUN_BYTES, at least one each.  Returns (runs,
+    reps, crossed, split): the runs, each as (target and source column of
+    each pair, 0 or 1 for X or Y, and the pairs' `_pair_series` parts); the
+    number of representatives; whether Y has any block; and split."""
     if lmax < 2:
         raise ValueError("lmax must be >= 2")
     nd = 2 * data.m
@@ -294,27 +297,20 @@ def _plan(data: sk.SchottkyData, lmax: int, split: bool):
     column = {}
     for k, i in enumerate(reps):
         column[i] = column[sigma[i]] = k
-    logd, basis, pairs = _pair_samples(data, lmax, reps)
+    *series, pairs = _pair_series(data, lmax, reps)
     half = np.array([j not in reps for _, j in pairs], dtype=int)
-    basis[half == 1] *= ((-1.0) ** np.arange(lmax + 1))[:, None]
-    for arr in (logd, basis):
+    series[-1][half == 1] *= ((-1.0) ** np.arange(lmax + 1))[:, None]
+    for arr in series:
         arr.setflags(write=False)
     per = nd - 1
     nb = lmax + 1
-    per_run = max(1, _RUN_BYTES // (per * nb * 4 * nb * np.dtype(complex).itemsize))
+    per_run = max(1, _RUN_BYTES // (per * nb * nb * np.dtype(complex).itemsize))
     runs = []
     for first in range(0, len(reps), per_run):
-        batch = reps[first:first + per_run]
-        tables = [_folded_dft(data.discs[i].radius, lmax) for i in batch]
-        if all(f is tables[0] for f in tables):
-            fold = tables[0][None]
-        else:
-            fold = np.stack(tables)
-            fold.setflags(write=False)
-        rows = slice(first * per, (first + len(batch)) * per)
-        runs.append((rows, *(np.array([column[d] for d in ix]) for ix in zip(*pairs[rows])),
-                     half[rows], fold))
-    return logd, basis, tuple(runs), len(reps), bool(half.any()), split
+        rows = slice(first * per, min(first + per_run, len(reps)) * per)
+        runs.append((*(np.array([column[d] for d in ix]) for ix in zip(*pairs[rows])),
+                     half[rows], tuple(arr[rows] for arr in series)))
+    return tuple(runs), len(reps), bool(half.any()), split
 
 
 def assemble_blocks(data: sk.SchottkyData, s: complex, lmax: int) -> dict:
@@ -382,7 +378,10 @@ def _character_dets(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, i
     solves are two stacked nb x nb ones.  Eliminating coordinates 1..k
     factors I minus the twisted operator of the Schottky subgroup of
     letters 1..k on its own discs, which has no eigenvalue 1 at a real s
-    above that subgroup's critical exponent, and so at the group's delta."""
+    above that subgroup's critical exponent, and so at the group's delta.
+    A block that is exactly singular (at s = 0 the determinant of each
+    cyclic subgroup vanishes) leaves the characters under it to one LU each
+    of the lifted matrix (`_solve`); every other value is unchanged."""
     count, m = thetas.shape
     nb = base.shape[-1] // (2 * m)
     h = 2 * nb
@@ -391,6 +390,7 @@ def _character_dets(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, i
     S = base[np.ix_(order, order)][None]
     member = np.zeros(count, dtype=int)  # each character's matrix in the stack S
     dets = np.ones(count, dtype=complex)
+    direct = np.zeros(count, dtype=bool)  # under an exactly singular block
     eliminated = 0
     for k in range(m - 1):
         _, first, inverse = np.unique(thetas[:, :k + 1], axis=0, return_index=True,
@@ -400,59 +400,87 @@ def _character_dets(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, i
             e = D[:, ::nb].T[:, :, None, None]  # (2, U, 1, 1): the phases of A's two blocks
             lhs = _identity(nb) - e * np.stack((S[0, :nb, :nb], S[0, nb:h, nb:h]))[:, None]
             pivots = np.prod(np.linalg.det(lhs), axis=0)
-            X = e * np.linalg.solve(lhs, S[0, :h, h:].reshape(2, 1, nb, -1))
+            X = e * _solve(lhs, S[0, :h, h:].reshape(2, 1, nb, -1), pivots)
             X = X.transpose(1, 0, 2, 3).reshape(len(first), h, -1)
             C, R = S[0, h:, :h], S[0, h:, h:]
         else:
             parents = member[first]
             lhs = _identity(h) - S[parents, :h, :h] * D[:, None, :]
             pivots = np.linalg.det(lhs)
-            X = D[:, :, None] * np.linalg.solve(lhs, S[parents, :h, h:])
+            X = D[:, :, None] * _solve(lhs, S[parents, :h, h:], pivots)
             C, R = S[parents, h:, :h], S[parents, h:, h:]
         update = C @ X
         S = np.add(R, update, out=update)
         member = inverse.reshape(-1)
         dets *= pivots[member]
+        direct |= pivots[member] == 0
         eliminated += len(first)
     leaf = S[member]
     np.multiply(leaf, phases[:, None, -h:], out=leaf)
     dets *= np.linalg.det(np.subtract(_identity(h), leaf, out=leaf))
+    for c in np.flatnonzero(direct):
+        dets[c] = fredholm_det(_lift(base, _character_letters(thetas[c])))
     return dets, eliminated
 
 
+def _solve(lhs: np.ndarray, rhs: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of a stack of systems, with one determinant in pivots
+    per index of the stack's axis -3.  One exactly singular system makes the
+    whole stacked solve raise LinAlgError; then those with determinant 0
+    are solved with the identity instead, so that the rest keep their
+    values bit for bit, and `_character_dets` takes the characters under
+    them by one LU each."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        lhs = lhs.copy()
+        lhs[..., pivots == 0, :, :] = _identity(lhs.shape[-1])
+        return np.linalg.solve(lhs, rhs)
+
+
 def _work_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two flat work buffers, grown to at least size samples:
-    a library caller may assemble from several threads at once."""
+    """This thread's two flat work buffers, grown to at least size complex
+    entries: a library caller may assemble from several threads at once."""
     bufs = getattr(_work, "bufs", None)
     if bufs is None or bufs[0].size < size:
         bufs = _work.bufs = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
     return bufs
 
 
-def _run_taylor(s: np.ndarray, logd: np.ndarray, basis: np.ndarray,
-                fold: np.ndarray, prod: np.ndarray, spec: np.ndarray) -> np.ndarray:
+def _run_taylor(s: np.ndarray, wide: np.ndarray, logd: np.ndarray, rate: np.ndarray,
+                offset: np.ndarray, scale: np.ndarray, basis: np.ndarray,
+                prod: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """Taylor blocks (s, pair, source degree, target degree) of one run at
-    the values s, shape (B, 1, 1), from its samples logd (pairs, K) and
-    basis values (pairs, nb, K): one exponential over (s, pairs, K), then
-    one product with the basis and one with the folded DFT of its targets,
-    in this thread's work buffers prod and spec.  A run whose targets share
-    one table is a single GEMM over every s.  The result is a view of spec,
-    valid until the next run."""
-    B = len(s)
-    n, nb, K = basis.shape
-    dpow = np.multiply(s, logd, out=spec[:B * n * K].reshape(B, n, K))
-    np.exp(dpow, out=dpow)
-    vals = np.multiply(dpow[:, :, None], basis, out=prod[:B * n * nb * K].reshape(B, n, nb, K))
-    lead = (1, -1) if len(fold) == 1 else (B, len(fold), -1)
-    taylor = np.matmul(vals.reshape(*lead, K), fold,
-                       out=spec[:B * n * nb * nb].reshape(*lead, nb))
-    return taylor.reshape(B, n, nb, nb)
+    the values s, shape (B, 1), also given in long double as wide, shape
+    (B,), from the run's `_pair_series` parts, in this thread's work
+    buffers prod and spec.  The coefficients e of gamma'^s are one
+    exponential (in long double) and one cumulative product of ratios per
+    (pair, s), written after nb - 1 zeros, so that T(e) scaled by the
+    target scales is one strided read of them; the real source side then
+    multiplies each T(e), real and imaginary parts at once.  The result is
+    a view of spec, valid until the next run."""
+    B = len(wide)
+    n, _, nb = scale.shape
+    series = spec[:n * B * (2 * nb - 1)].reshape(n, B, 2 * nb - 1)
+    series[:, :, :nb - 1].fill(0)
+    e = series[:, :, nb - 1:]
+    e[:, :, 0] = np.exp(logd * wide)
+    ratio = np.multiply(s, rate, out=e[:, :, 1:])
+    np.add(ratio, offset, out=ratio)
+    np.multiply.accumulate(e, axis=2, out=e)
+    item = series.itemsize
+    toeplitz = np.ndarray((B, n, nb, nb), complex, series, offset=(nb - 1) * item,
+                          strides=(series.strides[1], series.strides[0], -item, item))
+    factors = np.multiply(toeplitz, scale, out=prod[:B * n * nb * nb].reshape(B, n, nb, nb))
+    blocks = spec[:B * n * nb * nb].reshape(B, n, nb, nb)
+    np.matmul(basis, factors.view(float), out=blocks.view(float))
+    return blocks
 
 
 def _place(plan, s: np.ndarray, nb: int) -> np.ndarray:
     """X and, when the plan has a crossed block, Y of a `_plan` at every
-    value of s, shape (B, 1, 1), as a stack (B, 1 or 2, h, h) with h = reps
-    * nb; `assemble` passes a scalar s as a batch of one.  The work buffers
+    value of s, shape (B,), as a stack (B, 1 or 2, h, h) with h = reps *
+    nb; `assemble` passes a scalar s as a batch of one.  The work buffers
     hold every s of a run at once, so callers keep a batch within
     `_batch`.  Every block is written through an (s, half, target, source,
     source degree, target degree) view.  A split plan's X and Y come out
@@ -460,13 +488,14 @@ def _place(plan, s: np.ndarray, nb: int) -> np.ndarray:
     blocks are cheapest to write; the whole matrix comes out untransposed,
     because `_lift` and the LU of a C-contiguous matrix are faster than of
     its transpose."""
-    logd, basis, runs, reps, crossed, split = plan
+    runs, reps, crossed, split = plan
     B = len(s)
     out = np.zeros((B, 1 + crossed, reps, nb, reps, nb), dtype=complex)
     placed = out.transpose(0, 1, 4, 2, 3, 5) if split else out.transpose(0, 1, 2, 4, 5, 3)
-    prod, spec = _work_buffers(B * len(runs[0][1]) * nb * 4 * nb)  # the first run is the longest
-    for rows, tgt, src, half, fold in runs:
-        placed[:, half, tgt, src] = _run_taylor(s, logd[rows], basis[rows], fold, prod, spec)
+    prod, spec = _work_buffers(B * len(runs[0][0]) * nb * nb)  # the first run is the longest
+    column, wide = s[:, None], s.astype(np.clongdouble)
+    for tgt, src, half, series in runs:
+        placed[:, half, tgt, src] = _run_taylor(column, wide, *series, prod, spec)
     return out.reshape(B, -1, reps * nb, reps * nb)
 
 
@@ -480,9 +509,9 @@ def _batch(data: sk.SchottkyData, lmax: int, sectors: bool) -> int:
     """How many values of s one `_place` pass of the untwisted matrix takes
     within _RUN_BYTES: as many as fit with the longest run (the first) of
     the plan that `assemble` picks, at least one."""
-    runs = _plan_for(data, lmax, sectors)[2]
+    runs = _plan_for(data, lmax, sectors)[0]
     nb = lmax + 1
-    return max(1, _RUN_BYTES // (len(runs[0][1]) * nb * 4 * nb * np.dtype(complex).itemsize))
+    return max(1, _RUN_BYTES // (len(runs[0][0]) * nb * nb * np.dtype(complex).itemsize))
 
 
 def assemble(data: sk.SchottkyData, s: complex | np.ndarray, twist: TwistSpec,
@@ -508,17 +537,17 @@ def assemble(data: sk.SchottkyData, s: complex | np.ndarray, twist: TwistSpec,
     letters = None if twist.kind == "trivial" else twist.letter_matrices(data.m)
     plan = _plan_for(data, lmax, sectors and letters is None)
     values = np.asarray(s, dtype=complex)
-    X = _place(plan, values.reshape(-1, 1, 1), lmax + 1)
-    if not plan[5]:
+    X = _place(plan, values.reshape(-1), lmax + 1)
+    if not plan[3]:
         M = X if values.ndim else X[0, 0]
         return M if letters is None else _lift(M, letters)
     if X.shape[1] == 1:
         B, _, h, _ = X.shape
         M = np.ndarray((B, 2, h, h), complex, X, strides=(X.strides[0], 0, *X.strides[2:]))
     else:
-        M = np.empty_like(X)
+        M, difference = X, np.subtract(X[:, 0], X[:, 1])  # X+Y and X-Y in X's place
         np.add(X[:, 0], X[:, 1], out=M[:, 0])
-        np.subtract(X[:, 0], X[:, 1], out=M[:, 1])
+        M[:, 1] = difference
     return M if values.ndim else M[0]
 
 

@@ -394,8 +394,8 @@ def refine_zero(data: sk.SchottkyData, twist: TwistSpec, s0: complex,
 def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
                lmax: int = 16, det: Optional[Callable] = None) -> ResonanceSet:
     """The zeros of det(I - L_{rho,s}) in the rectangle (padded by PAD: the
-    cylinder lattice starts on Im(s) = 0), with multiplicities, by real part
-    rounded to 1e-9 and then imaginary part, on one path: a box's count N
+    cylinder lattice starts on Im(s) = 0), with multiplicities, by imaginary
+    part rounded to 1e-9 and then real part, on one path: a box's count N
     and moments s_0..s_{2N-1} come from its sides' interpolants, a
     rank-revealing Hankel step gives its distinct zeros (`_located`), a
     simple zero is polished by `refine_zero`, a multiple one placed by that
@@ -466,8 +466,9 @@ def resonances(data: sk.SchottkyData, twist: TwistSpec, rectangle,
     x0, x1, y0, y1 = (float(v) for v in rectangle)
     total = solve((x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD),
                   _sides(det, (x0 - PAD, x1 + PAD, y0 - PAD, y1 + PAD)))
-    # real parts on one vertical line differ by rounding noise: sort on them
-    # to the secant's step tolerance
-    found.sort(key=lambda f: (round(f[0].real, 9), f[0].imag))
+    # imaginary parts, then real parts: a real zero's imaginary noise (about
+    # 1e-17) and the truncation error of a zero's real part (2e-9 for the
+    # cylinder's 6.53i at lmax 16) must not reorder them
+    found.sort(key=lambda f: (round(f[0].imag, 9), f[0].real))
     return ResonanceSet(rectangle=(x0, x1, y0, y1), zeros=tuple((s, m) for s, m, _ in found),
                         contour_count=total, residuals=tuple(r for _, _, r in found))

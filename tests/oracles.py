@@ -1,5 +1,6 @@
 """Reference constructions that the tests compare the program against:
-transfer blocks built block by block from the definitions, central-difference
+transfer blocks built block by block from their Taylor series, the same
+blocks sampled on a circle and folded by a DFT in any precision, central-difference
 Newton for zero refinement, the points an argument-principle walk asks for,
 a determinant that lists its lookups, a quadrature Fourier transform, the envelope fit
 without a refusal rule, the test-function width normaliser summed term by
@@ -26,30 +27,80 @@ from reslab import schottky as sk
 
 def scalar_block(data, s, lmax, i, j):
     """One (lmax+1)^2 block carrying basis functions on disc j to disc i,
-    built from scratch, or None when inadmissible."""
+    built from scratch, or None when inadmissible: diag(sqrt(pi/(l'+1)) r_i)
+    T(e) U diag(sqrt((l+1)/pi) / r_j), with e the Taylor coefficients of
+    gamma'^s = exp(s L0) (1 + q zeta)^(-2s) about the target centre,
+    zeta = (z - c_i)/r_i, T(e) their lower-triangular Toeplitz matrix and
+    U[:, l] the coefficients of u^l, u = (gamma(z) - c_j)/r_j.  The
+    coefficients of the two series, the scales and exp(s L0) are computed
+    in long double and rounded once; the powers of u are taken in double,
+    and the real source side multiplies the real and imaginary parts of
+    T(e) at once."""
     m = data.m
     a0 = (j + m) % (2 * m)
     if a0 == i:
         return None
     g = data.gen(a0 + 1)
-    tgt = data.discs[i]
-    src = data.discs[j]
-    K = 4 * (lmax + 1)
-    rho = 0.75 * tgt.radius
-    circle = transfer._roots_of_unity(K)
-    z = tgt.center + rho * circle
-    den = g.c * z + g.d
-    dv = 1.0 / den ** 2
-    w = (g.a * z + g.b) / den
-    dpow = np.exp(s * np.log(dv))
+    wide = np.longdouble
+    a, b, c, d = (wide(v) for v in (g.a, g.b, g.c, g.d))
+    ci, ri = wide(data.discs[i].center), wide(data.discs[i].radius)
+    cj, rj = wide(data.discs[j].center), wide(data.discs[j].radius)
+    nb = lmax + 1
+    ell = np.arange(nb, dtype=wide)
+    n = ell[1:]
+    D = c * ci + d
+    q = c * ri / D
+    A0 = (a * ci + b) / D
+    A1 = a * ri / D
+    # (gamma')^s: e_0 = exp(s L0), e_n = e_(n-1) (s (-2q/n) - q (n-1)/n)
+    e = np.empty(nb, dtype=complex)
+    e[0] = np.exp(np.array([-2 * np.log(abs(D))]) * np.array([s], dtype=np.clongdouble))[0]
+    e[1:] = (complex(s) * (-2 * q / n).astype(complex)) + (-q * (n - 1) / n).astype(complex)
+    e = np.cumprod(e)
+    # u = u_0 + sum_n (-q)^(n-1) (A1 - q A0) / r_j zeta^n, and its powers
+    u = np.empty(nb)
+    u[0] = (A0 - cj) / rj
+    u[1:] = (-q) ** (n - 1) * ((A1 - q * A0) / rj)
+    lag = np.subtract.outer(np.arange(nb), np.arange(nb))
+    shift = np.where(lag >= 0, u[np.maximum(lag, 0)], 0.0)
+    powers = np.empty((nb, nb))  # row l: the coefficients of u^l, U[:, l]
+    power = np.zeros((nb, 1))
+    power[0] = 1.0
+    for l in range(nb):
+        powers[l] = power[:, 0]
+        power = shift @ power
+    source = powers * (np.sqrt((ell + 1) / np.pi) / rj).astype(float)[:, None]
+    target = (np.sqrt(np.pi / (ell + 1)) * ri).astype(complex)
+    toeplitz = np.where(lag >= 0, e[np.maximum(lag, 0)], 0j)
+    factors = (toeplitz * target[:, None]).T.copy()
+    return (source @ factors.view(float)).view(complex).T
+
+
+def sampled_block(data, lmax, i, j, s, K, dtype):
+    """Block (i, j) as the sampled transfer engine built it, in the complex
+    dtype given: gamma'^s times the source basis at K points of the circle
+    of radius 0.75 r_i about the target centre, the first lmax+1 outputs of
+    their DFT (twiddles indexed by the exact residue k l mod K), each
+    divided by K rho^l' and scaled by sqrt(pi/(l'+1)) r_i^(l'+1).  With
+    K = 4(lmax+1) in double it is that engine's block; in long double with
+    a larger K it is a reference whose aliasing is far below double
+    rounding."""
+    real = np.finfo(dtype).dtype.type
+    pi = np.arccos(real(-1))
+    g = data.gen((j + data.m) % (2 * data.m) + 1)
+    tgt, src = data.discs[i], data.discs[j]
     ell = np.arange(lmax + 1)
-    u = (w - src.center) / src.radius
-    phi = (np.sqrt((ell[:, None] + 1) / np.pi) / src.radius) * u[None, :] ** ell[:, None]
-    vals = dpow[None, :] * phi
-    # first lmax+1 DFT outputs, divided by K rho^l and scaled, as one matrix
-    scale = np.sqrt(np.pi / (ell + 1)) * tgt.radius ** (ell + 1)
-    W = circle.conj()[np.outer(np.arange(K), ell) % K] * (scale / (K * rho ** ell))
-    return (vals @ W).T
+    rho = real(0.75) * real(tgt.radius)
+    circle = np.exp(2j * pi * np.arange(K).astype(real) / K).astype(dtype)
+    z = real(tgt.center) + rho * circle
+    den = real(g.c) * z + real(g.d)
+    dpow = np.exp(dtype(s) * np.log(1 / den ** 2))
+    u = ((real(g.a) * z + real(g.b)) / den - real(src.center)) / real(src.radius)
+    weight = np.sqrt((ell + 1) / pi) / real(src.radius)
+    vals = dpow[None, :] * weight[:, None] * u[None, :] ** ell[:, None]
+    twiddle = circle.conj()[np.outer(np.arange(K), ell) % K]
+    scale = np.sqrt(pi / (ell + 1)) * real(tgt.radius) ** (ell + 1) / (K * rho ** ell)
+    return ((vals @ twiddle) * scale).T
 
 
 def kron_placement(data, s, lmax, source_unitaries):

@@ -216,6 +216,23 @@ def test_group_file_failing_validation_is_rejected_before_the_experiment(tmp_pat
     assert "disc_disjointness" in captured.err and "boundary_mapping" in captured.err
 
 
+def test_group_file_with_a_pole_in_a_target_disc_exits_2(tmp_path, capsys):
+    """The cylinder with its two discs swapped puts the pole of each
+    generator in the target disc of a pair, where the transfer blocks'
+    Taylor series diverge (`_pair_series` raises ValueError); the file
+    fails the boundary check, so every experiment refuses it with exit 2
+    before assembling anything."""
+    cyl = sk.preset("cylinder")
+    swapped = sk.SchottkyData(m=1, discs=cyl.discs[::-1], generators=cyl.generators)
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(sk.group_to_json(swapped)))
+    for argv in (["delta"], ["resonances", "--rect", "-0.5,0.5,0,3"], ["validate"]):
+        assert run(argv + ["--group", str(path)]) == 2, argv
+        captured = capsys.readouterr()
+        assert "boundary_mapping" in captured.err + captured.out
+        assert "Traceback" not in captured.err
+
+
 def _cylinder_group(**change):
     group = sk.group_to_json(sk.preset("cylinder"))
     group.update(change)

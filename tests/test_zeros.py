@@ -133,18 +133,16 @@ def test_secant_matches_newton_with_fewer_determinants(cyl):
 
 def test_refine_spends_at_most_its_budget(sym3, delta3):
     """Two starts plus 150 steps at most: from the zero-free start, and from
-    0.2515811641598768 for the character (1/2, 0) at lmax 10, where |det| is
-    about 0.98 and the secant runs out of steps.  That start is delta of
-    the full untwisted matrix; the sector delta, 5e-16 below it, starts a
-    trajectory that reaches the zero 0.17 + 0.955i instead, so the start is
-    given as a number: the path of 150 unit-capped steps follows its last
-    bit."""
+    0.3 for the character (1/2, 0) at lmax 10, where |det| is about 0.97
+    and the secant runs out of steps.  A path of 150 unit-capped steps can
+    follow the last bits of its start, so this one was picked where starts
+    1e-15 to 1e-4 away from it run out too."""
     det, calls = counting(zeros.make_det(sym3, TRIV, 16))
     zeros.refine_zero(sym3, TRIV, complex(delta3 + 2.0, 0.3), det=det)
     assert len(calls) <= 152
     half = TwistSpec.abelian((0.5, 0.0))
     det, calls = counting(zeros.make_det(sym3, half, 10))
-    _, _, ok = zeros.refine_zero(sym3, half, complex(0.2515811641598768), det=det)
+    _, _, ok = zeros.refine_zero(sym3, half, complex(0.3), det=det)
     assert not ok
     assert len(calls) == 152
 
@@ -169,6 +167,18 @@ def test_cylinder_resonance_lattice(cyl):
         assert mult == 2
         assert abs(z.real) < 1e-7
     assert all(r < 1e-8 for r in rs.residuals)
+
+
+def test_cylinder_zeros_come_in_order_of_height(cyl):
+    """The box (-0.5, 0.5, -7, 7) lists the lattice points 2 pi i k / l,
+    |k| <= 2, from the lowest to the highest, although the real parts of
+    +-6.53i (about 2e-9 at lmax 16, truncation error) exceed those of the
+    others."""
+    ell = 2 * math.acosh(1.5)
+    rs = zeros.resonances(cyl, TRIV, (-0.5, 0.5, -7.0, 7.0))
+    assert [mult for _, mult in rs.zeros] == [2] * 5
+    for (z, _), k in zip(rs.zeros, range(-2, 3)):
+        assert abs(z - 2j * math.pi * k / ell) < 1e-7, (z, k)
 
 
 def test_double_zero_near_a_split_line(cyl):
@@ -311,7 +321,7 @@ def test_many_gives_the_scalar_determinants_bit_for_bit():
 
 def test_a_twisted_contour_takes_its_base_nodes_in_a_few_passes(cyl, monkeypatch):
     """An abelian twist's nodes go through `assemble` in batches: on the
-    cylinder at lmax 8 (25 values of s per pass) the whole count takes
+    cylinder at lmax 8 (101 values of s per pass) the whole count takes
     fewer engine passes than the contour has first-level nodes."""
     passes = []
     assemble = transfer.assemble
@@ -321,7 +331,7 @@ def test_a_twisted_contour_takes_its_base_nodes_in_a_few_passes(cyl, monkeypatch
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(transfer, "assemble", spy)
-    assert transfer._batch(cyl, 8, sectors=False) == 25
+    assert transfer._batch(cyl, 8, sectors=False) == 101
     rect = (-0.3, 0.3, 0.5, 2.5)
     assert zeros.count_zeros(cyl, TwistSpec.abelian([0.3]), rect, lmax=8) == 2
     assert 0 < len(passes) < 4 * zeros.FIRST_NODES
